@@ -24,7 +24,9 @@
 //! invariants (strict caps, degraded counts, fault counters) hard.
 
 use lan_bench::{bench_lan_config, k_for, sized_spec, Scale};
-use lan_core::{InitStrategy, LanConfig, QueryBudget, RouteStrategy, ShardedLanIndex};
+use lan_core::{
+    Fanout, InitStrategy, LanConfig, QueryBudget, RouteStrategy, SearchRequest, ShardedLanIndex,
+};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_graph::Graph;
 use lan_models::ModelConfig;
@@ -54,7 +56,14 @@ fn run_batch(
     let mut max_ndc = 0usize;
     let mut degraded = 0usize;
     for ((qi, q), &kth) in queries.iter().zip(truth_kth) {
-        let out = sharded.search_budgeted(q, k, b, init, route, *qi as u64, budget);
+        let req = SearchRequest {
+            init,
+            route,
+            seed: *qi as u64,
+            budget: budget.clone(),
+            ..SearchRequest::new(k, b)
+        };
+        let out = sharded.search(q, &req, Fanout::Seq).outcome;
         recall_sum += lan_datasets::recall_at_k_ties(&out.results, kth, k);
         ndc_sum += out.ndc;
         max_ndc = max_ndc.max(out.ndc);

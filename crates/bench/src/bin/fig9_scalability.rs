@@ -10,7 +10,7 @@
 //! ```
 
 use lan_bench::{beam_sweep, bench_lan_config, k_for, sized_spec, Scale};
-use lan_core::{harness, InitStrategy, LanIndex, RouteStrategy};
+use lan_core::{harness, InitStrategy, LanIndex, RouteStrategy, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 
 fn main() {
@@ -73,14 +73,11 @@ fn main() {
                 // searched against every active shard sequentially.
                 let q = shards[0].dataset.queries[qi].clone();
                 for shard in &shards[..used] {
-                    let out = shard.search_with(
-                        &q,
-                        k,
-                        b,
-                        InitStrategy::LanIs,
-                        RouteStrategy::LanRoute { use_cg: true },
-                        qi as u64,
-                    );
+                    let req = SearchRequest {
+                        seed: qi as u64,
+                        ..SearchRequest::new(k, b)
+                    };
+                    let out = shard.search(&q, &req).outcome;
                     total += out.total_time;
                 }
                 queries += 1;

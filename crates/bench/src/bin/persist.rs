@@ -27,7 +27,7 @@
 //! bit-identity contract (no build-state can leak into the loaded run).
 
 use lan_bench::{build_index_exact, sized_spec, Scale};
-use lan_core::{InitStrategy, LanIndex, RouteStrategy};
+use lan_core::{InitStrategy, LanIndex, RouteStrategy, SearchRequest};
 use lan_datasets::DatasetSpec;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -73,7 +73,13 @@ fn probe(index: &LanIndex, queries: usize) -> Vec<(String, u64)> {
         for qi in 0..nq {
             let q = index.dataset.queries[qi].clone();
             for seed in [0u64, 7] {
-                let o = index.search_with(&q, 5, 8, init, route, seed);
+                let req = SearchRequest {
+                    init,
+                    route,
+                    seed,
+                    ..SearchRequest::new(5, 8)
+                };
+                let o = index.search(&q, &req).outcome;
                 out.push((format!("{tag}.q{qi}.s{seed}"), digest(&o.results, o.ndc)));
             }
         }

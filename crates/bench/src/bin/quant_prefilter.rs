@@ -47,7 +47,7 @@
 //! write `BENCH_obs.json` (that artifact belongs to the `throughput` run
 //! checked by `obs_check`).
 
-use lan_core::{InitStrategy, LanConfig, LanIndex, QuantConfig, QuantMode, RouteStrategy};
+use lan_core::{LanConfig, LanIndex, QuantConfig, QuantMode, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_obs::names;
@@ -141,14 +141,11 @@ fn run_routing(
     let mut total_ndc = 0usize;
     let mut recall_sum = 0.0f64;
     for (&qi, &kth) in query_idx.iter().zip(truth_kth) {
-        let out = index.search_with(
-            &index.dataset.queries[qi],
-            k,
-            b,
-            InitStrategy::LanIs,
-            RouteStrategy::LanRoute { use_cg: true },
-            qi as u64,
-        );
+        let req = SearchRequest {
+            seed: qi as u64,
+            ..SearchRequest::new(k, b)
+        };
+        let out = index.search(&index.dataset.queries[qi], &req).outcome;
         total_ndc += out.ndc;
         recall_sum += lan_datasets::recall_at_k_ties(&out.results, kth, k);
     }

@@ -30,7 +30,7 @@
 //! `LAN_STORE` already holds the index).
 
 use lan_bench::{build_sharded_cached, finish_obs, host_threads, underprovisioned};
-use lan_core::{InitStrategy, LanConfig, QuantConfig, RouteStrategy, ShardedLanIndex};
+use lan_core::{Fanout, LanConfig, QuantConfig, SearchRequest, ShardedLanIndex};
 use lan_datasets::{recall_at_k_ties, Dataset, DatasetSpec};
 use lan_graph::Graph;
 use lan_models::ModelConfig;
@@ -117,14 +117,16 @@ fn run_mode(
         let t0 = Instant::now();
         let outs: Vec<lan_core::QueryOutcome> =
             lan_par::par_map_dyn(queries, lan_par::Grain::Fine, |(qi, q)| {
-                sharded.search(
-                    q,
-                    K,
-                    b,
-                    InitStrategy::LanIs,
-                    RouteStrategy::LanRoute { use_cg: true },
-                    *qi as u64,
-                )
+                sharded
+                    .search(
+                        q,
+                        &SearchRequest {
+                            seed: *qi as u64,
+                            ..SearchRequest::new(K, b)
+                        },
+                        Fanout::Seq,
+                    )
+                    .outcome
             });
         let wall = t0.elapsed().as_secs_f64();
         let ged_calls = lan_obs::snapshot()
@@ -151,14 +153,15 @@ fn tier_attribution(
     testenv::with_env(&[("LAN_SCHED", Some(sched))], || {
         let mut sums = (0u64, 0u64, 0u64, 0u64);
         for (qi, q) in queries {
-            let (_, ex) = sharded.search_explain(
-                q,
-                K,
-                b,
-                InitStrategy::LanIs,
-                RouteStrategy::LanRoute { use_cg: true },
-                *qi as u64,
-            );
+            let req = SearchRequest {
+                seed: *qi as u64,
+                explain: true,
+                ..SearchRequest::new(K, b)
+            };
+            let ex = sharded
+                .search(q, &req, Fanout::Seq)
+                .explain
+                .expect("plan requested");
             sums.0 += ex.tiers.quant_skips;
             sums.1 += ex.tiers.lb_prunes;
             sums.2 += ex.tiers.tau_aborts;
@@ -260,14 +263,16 @@ fn main() {
         for &b in &beams {
             let outs: Vec<lan_core::QueryOutcome> =
                 lan_par::par_map_dyn(&queries, lan_par::Grain::Fine, |(qi, q)| {
-                    sharded.search(
-                        q,
-                        K,
-                        b,
-                        InitStrategy::LanIs,
-                        RouteStrategy::LanRoute { use_cg: true },
-                        *qi as u64,
-                    )
+                    sharded
+                        .search(
+                            q,
+                            &SearchRequest {
+                                seed: *qi as u64,
+                                ..SearchRequest::new(K, b)
+                            },
+                            Fanout::Seq,
+                        )
+                        .outcome
                 });
             let recall = outs
                 .iter()

@@ -10,8 +10,8 @@
 //! * **batch1** — micro-batching disabled (`batch = 1`, no batch wait):
 //!   every query is scored alone, the pre-serving baseline;
 //! * **batched** — the default micro-batch (`batch = 8`) with a bounded
-//!   batch wait: co-batched queries share one fused-heads matmul per
-//!   shard scoring pass.
+//!   batch wait: each shard worker runs a batch's queries concurrently,
+//!   every query scoring its own hops (no cross-query fusion).
 //!
 //! The request schedule is fixed per sweep point (client `c`'s `j`-th
 //! request is query `(c·R + j) mod |Q|` with the query index as seed),
@@ -250,7 +250,7 @@ fn main() {
     for &clients in CLIENT_SWEEP {
         let per_client = total_requests.div_ceil(clients);
         let solo = run_load(&index, &queries, clients, per_client, 1, 0, None);
-        let fused = run_load(
+        let batched = run_load(
             &index,
             &queries,
             clients,
@@ -262,23 +262,27 @@ fn main() {
         // Digest equality is the equal-recall proof: same request
         // multiset, bit-identical answers under both configurations.
         assert_eq!(
-            solo.digest, fused.digest,
+            solo.digest, batched.digest,
             "{clients} clients: batched results diverged from batch=1"
         );
         assert_eq!(
-            solo.total_ndc, fused.total_ndc,
+            solo.total_ndc, batched.total_ndc,
             "{clients} clients: batched NDC diverged from batch=1"
         );
-        assert_eq!((solo.shed, fused.shed), (0, 0), "unexpected shed in sweep");
-        let speedup = fused.qps / solo.qps.max(1e-12);
+        assert_eq!(
+            (solo.shed, batched.shed),
+            (0, 0),
+            "unexpected shed in sweep"
+        );
+        let speedup = batched.qps / solo.qps.max(1e-12);
         eprintln!(
             "  clients={clients:<4} batch1 {:>8.2} QPS | batched {:>8.2} QPS \
              ({speedup:.2}x, occupancy {:.2}, p95 {}us -> {}us)",
             solo.qps,
-            fused.qps,
-            fused.occupancy_mean_x1000 as f64 / 1000.0,
+            batched.qps,
+            batched.occupancy_mean_x1000 as f64 / 1000.0,
             solo.p95_us,
-            fused.p95_us,
+            batched.p95_us,
         );
         if clients == 64 && !underprovisioned() {
             if speedup >= 1.5 {
@@ -291,12 +295,12 @@ fn main() {
                 );
             }
         }
-        grand_total_ndc += solo.total_ndc + fused.total_ndc;
+        grand_total_ndc += solo.total_ndc + batched.total_ndc;
         sweep_jsons.push(format!(
             "    {{\n      \"clients\": {clients},\n      \"speedup\": {speedup:.3},\n      \
              \"batch1\": {},\n      \"batched\": {}\n    }}",
             solo.to_json(),
-            fused.to_json(),
+            batched.to_json(),
         ));
     }
 

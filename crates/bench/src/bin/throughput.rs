@@ -34,7 +34,7 @@
 use lan_bench::{
     bench_lan_config, finish_obs, host_threads, k_for, sized_spec, underprovisioned, Scale,
 };
-use lan_core::{InitStrategy, LanConfig, RouteStrategy, ShardedLanIndex};
+use lan_core::{Fanout, LanConfig, SearchRequest, ShardedLanIndex};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_graph::Graph;
 use lan_models::ModelConfig;
@@ -185,20 +185,29 @@ fn main() {
         })
         .collect();
 
-    let init = InitStrategy::LanIs;
-    let route = RouteStrategy::LanRoute { use_cg: true };
     eprintln!(
         "running {} queries, k = {k}, b = {b}, {} worker threads:",
         queries.len(),
         lan_par::num_threads()
     );
 
+    // Full LAN, each query seeded with its index.
+    let lan = |fanout: Fanout| {
+        let sharded = &sharded;
+        move |q: &Graph, seed: u64| {
+            let req = SearchRequest {
+                seed,
+                ..SearchRequest::new(k, b)
+            };
+            sharded.search(q, &req, fanout).outcome
+        }
+    };
     let seq = run_batch(
         "sequential",
         &queries,
         &truth_kth,
         k,
-        |q, seed| sharded.search(q, k, b, init, route, seed),
+        lan(Fanout::Seq),
         false,
     );
     let par_shards = run_batch(
@@ -206,7 +215,7 @@ fn main() {
         &queries,
         &truth_kth,
         k,
-        |q, seed| sharded.search_par(q, k, b, init, route, seed),
+        lan(Fanout::Par),
         false,
     );
     let par_queries = run_batch(
@@ -214,7 +223,7 @@ fn main() {
         &queries,
         &truth_kth,
         k,
-        |q, seed| sharded.search(q, k, b, init, route, seed),
+        lan(Fanout::Seq),
         true,
     );
 

@@ -4,9 +4,9 @@
 
 use crate::index::LanIndex;
 use crate::l2route::L2RouteIndex;
-use crate::query::{InitStrategy, QueryOutcome, RouteStrategy};
+use crate::query::{InitStrategy, QueryOutcome, RouteStrategy, SearchRequest};
 use lan_obs::trace;
-use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
+use lan_pg::budget::{QueryBudget, Termination};
 use std::time::{Duration, Instant};
 
 /// One point of a recall–QPS curve.
@@ -101,9 +101,20 @@ pub fn ground_truths(index: &LanIndex, query_idx: &[usize], k: usize) -> Vec<f64
         .collect()
 }
 
+/// A batch's request; query `qi` runs it with seed `qi`. The env budget
+/// is read once per batch; unset variables mean an unlimited budget,
+/// which is guaranteed to change nothing.
+fn batch_request(k: usize, b: usize, init: InitStrategy, route: RouteStrategy) -> SearchRequest {
+    SearchRequest {
+        init,
+        route,
+        budget: QueryBudget::from_env(),
+        ..SearchRequest::new(k, b)
+    }
+}
+
 /// Runs one method over the query set at a fixed beam size, returning the
 /// curve point and the accumulated breakdown.
-#[allow(clippy::too_many_arguments)]
 pub fn run_point(
     index: &LanIndex,
     query_idx: &[usize],
@@ -113,15 +124,16 @@ pub fn run_point(
     init: InitStrategy,
     route: RouteStrategy,
 ) -> (CurvePoint, Breakdown) {
-    // The env budget is read once per batch; unset variables mean an
-    // unlimited budget, which is guaranteed to change nothing.
-    let budget = QueryBudget::from_env();
+    let req = batch_request(k, b, init, route);
     let mut agg = Aggregate::default();
     for (i, &qi) in query_idx.iter().enumerate() {
         let q = &index.dataset.queries[qi];
         let _t = trace::query(qi as u64);
-        let ctx = BudgetCtx::new(&budget);
-        let out = index.search_with_budget(q, k, b, init, route, qi as u64, &ctx);
+        let req = SearchRequest {
+            seed: qi as u64,
+            ..req.clone()
+        };
+        let out = index.search(q, &req).outcome;
         agg.add(&out, truths[i], k);
     }
     let wall = agg.breakdown.total;
@@ -137,7 +149,6 @@ pub fn run_point(
 /// still sums per-query component times. The sequential path remains the
 /// one to use for deterministic latency measurements — parallel per-query
 /// `total_time` includes scheduling noise.
-#[allow(clippy::too_many_arguments)]
 pub fn run_point_parallel(
     index: &LanIndex,
     query_idx: &[usize],
@@ -147,15 +158,22 @@ pub fn run_point_parallel(
     init: InitStrategy,
     route: RouteStrategy,
 ) -> (CurvePoint, Breakdown) {
-    let budget = QueryBudget::from_env();
+    let req = batch_request(k, b, init, route);
     let t0 = Instant::now();
     let outs: Vec<QueryOutcome> = lan_par::par_map_dyn(query_idx, lan_par::Grain::Fine, |&qi| {
         let q = &index.dataset.queries[qi];
         let _t = trace::query(qi as u64);
-        // One context per query (not per batch): each query gets the full
-        // budget, exactly like the sequential path above.
-        let ctx = BudgetCtx::new(&budget);
-        index.search_with_budget(q, k, b, init, route, qi as u64, &ctx)
+        // Each query opens its own budget context over the full budget,
+        // exactly like the sequential path above.
+        index
+            .search(
+                q,
+                &SearchRequest {
+                    seed: qi as u64,
+                    ..req.clone()
+                },
+            )
+            .outcome
     });
     let wall = t0.elapsed();
 
@@ -167,7 +185,6 @@ pub fn run_point_parallel(
 }
 
 /// A recall–QPS curve over a sweep of beam sizes.
-#[allow(clippy::too_many_arguments)]
 pub fn recall_qps_curve(
     index: &LanIndex,
     query_idx: &[usize],

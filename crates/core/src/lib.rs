@@ -10,23 +10,25 @@
 //! * [`harness`] — recall–QPS curves, time breakdowns, and the
 //!   interpolation helpers used by the figure-regeneration binaries.
 //!
-//! Queries run under an optional [`QueryBudget`] (NDC cap, wall-clock
-//! deadline, hop cap) with cooperative cancellation across shards and
-//! graceful degradation — see `lan_pg::budget` and the
-//! `search_with_budget` / `search_budgeted` / `search_par_budgeted`
-//! entry points. Deterministic fault injection for distance computations
-//! lives in `lan_pg::faults` (`LAN_FAULTS`).
+//! Every query is one [`SearchRequest`] — k, beam width, strategies,
+//! seed, an optional [`QueryBudget`] (NDC cap, wall-clock deadline, hop
+//! cap), and whether to return the EXPLAIN plan — answered by
+//! [`LanIndex::search`] or, over shards, by [`ShardedLanIndex::search`]
+//! with a [`Fanout`]. Budgets cancel cooperatively across shards and
+//! degrade gracefully (see `lan_pg::budget`). Deterministic fault
+//! injection for distance computations lives in `lan_pg::faults`
+//! (`LAN_FAULTS`).
 //!
 //! # Quickstart
 //!
 //! ```no_run
-//! use lan_core::{LanConfig, LanIndex};
+//! use lan_core::{LanConfig, LanIndex, SearchRequest};
 //! use lan_datasets::{Dataset, DatasetSpec};
 //!
 //! let dataset = Dataset::generate(DatasetSpec::aids().with_graphs(200));
 //! let index = LanIndex::build(dataset, LanConfig::default());
 //! let query = index.dataset.queries[0].clone();
-//! let out = index.search(&query, 10, 20);
+//! let out = index.search(&query, &SearchRequest::new(10, 20)).outcome;
 //! println!("top-10: {:?}, NDC = {}", out.results, out.ndc);
 //! ```
 
@@ -42,5 +44,5 @@ pub use index::{LanConfig, LanIndex, QuantConfig};
 pub use l2route::L2RouteIndex;
 pub use lan_gnn::QuantMode;
 pub use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
-pub use query::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared};
-pub use sharded::ShardedLanIndex;
+pub use query::{InitStrategy, QueryOutcome, RouteStrategy, SearchRequest, SearchResponse};
+pub use sharded::{Fanout, ShardedLanIndex};

@@ -9,31 +9,16 @@
 use crate::index::LanIndex;
 use lan_gnn::QuantMode;
 use lan_graph::Graph;
-use lan_models::{FusedScoreService, LearnedRanker, QuantPrefilter, QueryContext, SlabArena};
+use lan_models::{LearnedRanker, QuantPrefilter, QueryContext};
 use lan_obs::explain::{BudgetExplain, QueryExplain, SolveTier, TierCounts, TimelineEvent};
 use lan_obs::{names, span, TimerCell};
-use lan_pg::budget::{budgeted_get, BudgetCtx, Termination};
+use lan_pg::budget::{budgeted_get, BudgetCtx, QueryBudget, Termination};
 use lan_pg::faults::{self, FaultMetrics, FaultPlan};
 use lan_pg::np_route::np_route_prefiltered;
 use lan_pg::{beam_search_budgeted, CandidatePrefilter, DistBound, DistCache, QueryDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Shard-scoped resources the serving path shares across co-batched
-/// queries: the cross-query combining funnel for fused hop scoring, and
-/// the arena pooling per-query pair slabs. Passing one `SearchShared` to
-/// the `*_shared` entry points changes *how* work executes (fused
-/// matmuls, recycled allocations) but never *what* is computed — results,
-/// NDC, and EXPLAIN tier attribution stay bit-identical to the serial
-/// entry points (property-tested in `tests/shared_equivalence.rs`).
-pub struct SearchShared<'a> {
-    /// The shard's combining funnel (all users share one `FusedHeads`).
-    pub scorer: &'a FusedScoreService,
-    /// The shard's pair-slab pool.
-    pub arena: &'a Arc<SlabArena>,
-}
 
 /// Initial-node selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +84,94 @@ pub struct QueryOutcome {
 impl QueryOutcome {
     pub fn ids(&self) -> Vec<u32> {
         self.results.iter().map(|&(_, id)| id).collect()
+    }
+}
+
+/// One k-ANN search request: the only input of [`LanIndex::search`] and
+/// of the sharded fan-out. [`SearchRequest::new`] gives the paper's LAN
+/// configuration; other strategies override fields with struct-update
+/// syntax, e.g. `SearchRequest { init: InitStrategy::HnswIs, route:
+/// RouteStrategy::HnswRoute, ..SearchRequest::new(k, b) }`.
+#[derive(Debug, Clone)]
+pub struct SearchRequest {
+    /// Results to return.
+    pub k: usize,
+    /// Beam width of the routing phase.
+    pub b: usize,
+    pub init: InitStrategy,
+    pub route: RouteStrategy,
+    /// Feeds the random choices (Rand_IS, the s-sample of LAN_IS); the
+    /// shard fan-out derives shard `s`'s seed as `seed ^ s`.
+    pub seed: u64,
+    /// NDC / deadline / hop bounds; unlimited changes nothing.
+    pub budget: QueryBudget,
+    /// Return the query's EXPLAIN plan with the outcome.
+    pub explain: bool,
+}
+
+impl SearchRequest {
+    /// Full LAN (learned initial selection + learned-pruned routing with
+    /// CG acceleration), seed 0, unlimited budget, no plan.
+    pub fn new(k: usize, b: usize) -> Self {
+        SearchRequest {
+            k,
+            b,
+            init: InitStrategy::LanIs,
+            route: RouteStrategy::LanRoute { use_cg: true },
+            seed: 0,
+            budget: QueryBudget::unlimited(),
+            explain: false,
+        }
+    }
+
+    /// The request as executed: plan collection is also on when the
+    /// EXPLAIN ring is live, so [`SearchResponse::deliver`] has a plan to
+    /// emit. The disabled path costs exactly one relaxed atomic load.
+    pub(crate) fn collecting(&self) -> SearchRequest {
+        SearchRequest {
+            explain: self.explain || lan_obs::explain::enabled(),
+            ..self.clone()
+        }
+    }
+}
+
+/// What a search returns: the outcome, plus the EXPLAIN plan when the
+/// request asked for one.
+#[derive(Debug, Clone)]
+pub struct SearchResponse {
+    pub outcome: QueryOutcome,
+    pub explain: Option<QueryExplain>,
+}
+
+impl SearchResponse {
+    /// Routes a collected plan: returned when `req` asked for it,
+    /// otherwise emitted to the global EXPLAIN ring and dropped.
+    pub(crate) fn deliver(mut self, req: &SearchRequest) -> Self {
+        if !req.explain {
+            if let Some(ex) = self.explain.take() {
+                lan_obs::explain::emit(&ex);
+            }
+        }
+        self
+    }
+
+    pub(crate) fn into_explained(self) -> (QueryOutcome, QueryExplain) {
+        let ex = self
+            .explain
+            .expect("an explain request always yields a plan");
+        (self.outcome, ex)
+    }
+}
+
+/// The plan's budget block: the limits in force and the NDC charged
+/// against the (possibly shard-shared) cap.
+pub(crate) fn budget_explain(ctx: &BudgetCtx) -> BudgetExplain {
+    let limits = ctx.limits();
+    BudgetExplain {
+        max_ndc: limits.max_ndc.map(|v| v as u64),
+        deadline_ms: limits.deadline.map(|d| d.as_millis() as u64),
+        max_hops: limits.max_hops.map(|v| v as u64),
+        spent_ndc: ctx.spent() as u64,
     }
 }
 
@@ -178,26 +251,27 @@ impl QueryDistance for DatasetOracle<'_> {
 }
 
 impl LanIndex {
-    /// Full LAN query: learned initial selection + learned-pruned routing
-    /// with CG acceleration.
-    pub fn search(&self, q: &Graph, k: usize, b: usize) -> QueryOutcome {
-        self.search_with(
-            q,
-            k,
-            b,
-            InitStrategy::LanIs,
-            RouteStrategy::LanRoute { use_cg: true },
-            0,
-        )
+    /// One k-ANN query (Figs. 5–7, 10): the request picks the strategies,
+    /// seed, budget, and whether the EXPLAIN plan comes back with the
+    /// outcome. A fresh [`BudgetCtx`] is opened over `req.budget`; budget
+    /// exhaustion degrades gracefully into best-so-far results tagged in
+    /// [`QueryOutcome::termination`], never a panic or an error.
+    ///
+    /// With `LAN_EXPLAIN` on, a plan the request did not ask for is
+    /// collected anyway and emitted to the global EXPLAIN ring. Collection
+    /// never perturbs the search: results, NDC, and exploration are
+    /// bit-identical with and without a plan.
+    ///
+    /// When a fault plan is active (`LAN_FAULTS` or
+    /// `lan_pg::faults::set_plan`), distance computations fault
+    /// deterministically and recover by retrying once, then falling back
+    /// to the approximate GED metric.
+    pub fn search(&self, q: &Graph, req: &SearchRequest) -> SearchResponse {
+        let ctx = BudgetCtx::new(&req.budget);
+        self.search_in(q, &req.collecting(), &ctx).deliver(req)
     }
 
-    /// The HNSW baseline: hierarchy entry + exhaustive beam routing.
-    pub fn search_hnsw(&self, q: &Graph, k: usize, b: usize) -> QueryOutcome {
-        self.search_with(q, k, b, InitStrategy::HnswIs, RouteStrategy::HnswRoute, 0)
-    }
-
-    /// Any combination of strategies (Figs. 5–7, 10). `seed` feeds the
-    /// random choices (Rand_IS, the s-sample of LAN_IS).
+    /// [`Self::search`] with positional strategies; `lanbench/` calls it.
     pub fn search_with(
         &self,
         q: &Graph,
@@ -207,75 +281,16 @@ impl LanIndex {
         route: RouteStrategy,
         seed: u64,
     ) -> QueryOutcome {
-        self.search_with_budget(q, k, b, init, route, seed, &BudgetCtx::unlimited())
+        let req = SearchRequest {
+            init,
+            route,
+            seed,
+            ..SearchRequest::new(k, b)
+        };
+        self.search(q, &req).outcome
     }
 
-    /// [`Self::search_with`] under a query budget. `ctx` carries the NDC /
-    /// deadline / hop bounds and the cooperative cancellation flag; shard
-    /// fan-out shares one context so one exhausted shard stops its
-    /// siblings. With an unlimited context the behavior — results, NDC,
-    /// exploration — is bit-identical to [`Self::search_with`]. Budget
-    /// exhaustion degrades gracefully: best-so-far results, tagged in
-    /// [`QueryOutcome::termination`], never a panic or an error.
-    ///
-    /// When a fault plan is active (`LAN_FAULTS` or
-    /// `lan_pg::faults::set_plan`), distance computations fault
-    /// deterministically and recover by retrying once, then falling back
-    /// to the approximate GED metric.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_with_budget(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-    ) -> QueryOutcome {
-        // The disabled path costs exactly one relaxed atomic load.
-        if lan_obs::explain::enabled() {
-            let (out, ex) = self.search_explain_budgeted(q, k, b, init, route, seed, ctx);
-            lan_obs::explain::emit(&ex);
-            return out;
-        }
-        self.search_core(q, k, b, init, route, seed, ctx, None, None)
-            .0
-    }
-
-    /// [`Self::search_with_budget`] executing through shard-shared serving
-    /// resources (cross-query fused scoring, pooled slabs). Bit-identical
-    /// results and NDC; only the execution strategy differs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_with_budget_shared(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> QueryOutcome {
-        if lan_obs::explain::enabled() {
-            let (out, ex) =
-                self.search_explain_budgeted_shared(q, k, b, init, route, seed, ctx, shared);
-            lan_obs::explain::emit(&ex);
-            return out;
-        }
-        self.search_core(q, k, b, init, route, seed, ctx, None, Some(shared))
-            .0
-    }
-
-    /// [`Self::search_with`] that additionally returns the query's EXPLAIN
-    /// plan: per-stage wall-clock, NDC decomposed by cascade tier, cache
-    /// hit counts, hops, and budget consumption. The plan is collected
-    /// unconditionally (no env gate) and nothing is emitted to the global
-    /// EXPLAIN ring — callers own the plan.
-    ///
-    /// Collection never perturbs the search: results, NDC, and exploration
-    /// are bit-identical to [`Self::search_with`].
+    /// [`Self::search`] returning the EXPLAIN plan; `lanbench/` calls it.
     pub fn search_explain(
         &self,
         q: &Graph,
@@ -285,65 +300,41 @@ impl LanIndex {
         route: RouteStrategy,
         seed: u64,
     ) -> (QueryOutcome, QueryExplain) {
-        self.search_explain_budgeted(q, k, b, init, route, seed, &BudgetCtx::unlimited())
+        let req = SearchRequest {
+            init,
+            route,
+            seed,
+            explain: true,
+            ..SearchRequest::new(k, b)
+        };
+        self.search(q, &req).into_explained()
     }
 
-    /// [`Self::search_explain`] under a query budget ([`BudgetExplain`]
-    /// reports the limits and the NDC charged against the shared cap).
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_explain_budgeted(
+    /// One query under a caller-owned budget context (shared by the
+    /// shards of a fan-out). Collects the plan iff `req.explain` and never
+    /// emits it — emission belongs to the top-level calls.
+    pub(crate) fn search_in(
         &self,
         q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
+        req: &SearchRequest,
         ctx: &BudgetCtx,
-    ) -> (QueryOutcome, QueryExplain) {
-        self.search_explain_core(q, k, b, init, route, seed, ctx, None)
-    }
-
-    /// [`Self::search_explain_budgeted`] through shard-shared serving
-    /// resources — the plan's tier attribution, NDC, and results are
-    /// bit-identical to the serial variant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_explain_budgeted_shared(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> (QueryOutcome, QueryExplain) {
-        self.search_explain_core(q, k, b, init, route, seed, ctx, Some(shared))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_explain_core(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: Option<&SearchShared>,
-    ) -> (QueryOutcome, QueryExplain) {
+    ) -> SearchResponse {
+        if !req.explain {
+            let (outcome, _) = self.search_core(q, req, ctx, None);
+            return SearchResponse {
+                outcome,
+                explain: None,
+            };
+        }
         let tiers = TierCounts::default();
-        let (out, trace) = self.search_core(q, k, b, init, route, seed, ctx, Some(&tiers), shared);
+        let (out, trace) = self.search_core(q, req, ctx, Some(&tiers));
         let trace = trace.expect("collecting search always produces a stage trace");
-        let limits = ctx.limits();
         let ex = QueryExplain {
-            query: seed,
-            k,
-            b,
-            init: init.as_str().to_string(),
-            route: route.as_str().to_string(),
+            query: req.seed,
+            k: req.k,
+            b: req.b,
+            init: req.init.as_str().to_string(),
+            route: req.route.as_str().to_string(),
             termination: out.termination.as_str().to_string(),
             total_ns: out.total_time.as_nanos() as u64,
             init_ns: trace.init_ns,
@@ -354,35 +345,35 @@ impl LanIndex {
             cache_hits: trace.cache_hits,
             hops: trace.hops,
             tiers: tiers.snapshot(),
-            budget: BudgetExplain {
-                max_ndc: limits.max_ndc.map(|v| v as u64),
-                deadline_ms: limits.deadline.map(|d| d.as_millis() as u64),
-                max_hops: limits.max_hops.map(|v| v as u64),
-                spent_ndc: ctx.spent() as u64,
-            },
+            budget: budget_explain(ctx),
             timeline: trace.timeline,
             shards: Vec::new(),
         };
-        (out, ex)
+        SearchResponse {
+            outcome: out,
+            explain: Some(ex),
+        }
     }
 
     /// The one search implementation behind every public entry point.
     /// `tiers` switches EXPLAIN collection on: the distance cache routes
     /// misses through the tier-attributing oracle path and per-stage
     /// timings are kept. `None` is the plain search — zero collection.
-    #[allow(clippy::too_many_arguments)]
     fn search_core(
         &self,
         q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
+        req: &SearchRequest,
         ctx: &BudgetCtx,
         tiers: Option<&TierCounts>,
-        shared: Option<&SearchShared>,
     ) -> (QueryOutcome, Option<StageTrace>) {
+        let SearchRequest {
+            k,
+            b,
+            init,
+            route,
+            seed,
+            ..
+        } = *req;
         let t_start = Instant::now();
         let _q_span = span("query");
         lan_obs::counter(names::QUERY_COUNT).inc();
@@ -415,10 +406,7 @@ impl LanIndex {
         };
         let needs_ctx =
             matches!(route, RouteStrategy::LanRoute { .. }) || init == InitStrategy::LanIs;
-        let qctx = needs_ctx.then(|| match shared {
-            Some(sh) => self.models.query_context_pooled(q, use_cg, sh.arena),
-            None => self.models.query_context(q, use_cg),
-        });
+        let qctx = needs_ctx.then(|| self.models.query_context(q, use_cg));
 
         // --- Initial node selection. ---
         let init_t0 = Instant::now();
@@ -486,10 +474,7 @@ impl LanIndex {
             }
             RouteStrategy::LanRoute { use_cg } => {
                 let qc = qctx.as_ref().expect("LAN_Route requires a query context");
-                let ranker = match shared {
-                    Some(sh) => LearnedRanker::with_shared(&self.models, qc, use_cg, sh.scorer),
-                    None => LearnedRanker::new(&self.models, qc, use_cg),
-                };
+                let ranker = LearnedRanker::new(&self.models, qc, use_cg);
                 let prefilter = self.quant_prefilter(qc);
                 np_route_prefiltered(
                     self.pg.base(),

@@ -9,12 +9,24 @@
 //! to global database ids.
 
 use crate::index::{LanConfig, LanIndex};
-use crate::query::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared};
+use crate::query::{
+    budget_explain, InitStrategy, QueryOutcome, RouteStrategy, SearchRequest, SearchResponse,
+};
 use lan_datasets::{Dataset, DatasetSpec, WorkloadSplit};
 use lan_graph::Graph;
-use lan_obs::explain::{BudgetExplain, QueryExplain, TierBreakdown, TimelineEvent};
-use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
-use std::time::Instant;
+use lan_obs::explain::{QueryExplain, TierBreakdown, TimelineEvent};
+use lan_pg::budget::{BudgetCtx, QueryBudget};
+use std::time::{Duration, Instant};
+
+/// How [`ShardedLanIndex::search`] runs its shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fanout {
+    /// One shard after another on the calling thread; shards after a
+    /// budget exhaustion are skipped.
+    Seq,
+    /// Every shard concurrently on the `lan-par` executor.
+    Par,
+}
 
 /// A database partitioned into independently indexed shards.
 pub struct ShardedLanIndex {
@@ -102,25 +114,51 @@ impl ShardedLanIndex {
         self.len() == 0
     }
 
-    /// Sequential k-ANN over every shard with merged global results
-    /// (the paper's sub-database protocol). NDC and times accumulate.
-    pub fn search(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-    ) -> QueryOutcome {
-        self.search_budgeted(q, k, b, init, route, seed, &QueryBudget::unlimited())
+    /// k-ANN over every shard with merged global results (the paper's
+    /// sub-database protocol). All shards share one [`BudgetCtx`], so the
+    /// NDC cap is global across the query; once one shard exhausts it,
+    /// the sequential fan-out skips the remaining shards (their
+    /// best-so-far is simply absent from the merge) and the parallel one
+    /// cancels its siblings mid-flight.
+    ///
+    /// Both fan-outs are bit-identical under an unlimited budget (each
+    /// shard's search is deterministic and shard-local, and the merge is
+    /// order-independent); only `total_time` differs. With a *finite*
+    /// budget the parallel per-shard results depend on which shard's
+    /// computations won the budget race, so they are best-so-far but not
+    /// run-to-run deterministic — only the invariants (NDC ≤ cap,
+    /// degraded tag set) are guaranteed.
+    pub fn search(&self, q: &Graph, req: &SearchRequest, fanout: Fanout) -> SearchResponse {
+        let t0 = Instant::now();
+        let ctx = BudgetCtx::new(&req.budget);
+        let answers: Vec<(SearchResponse, Duration)> = match fanout {
+            Fanout::Seq => {
+                let mut answers = Vec::with_capacity(self.shards.len());
+                for s in 0..self.shards.len() {
+                    if ctx.cancelled() {
+                        break;
+                    }
+                    answers.push((self.search_shard(s, q, req, &ctx), t0.elapsed()));
+                }
+                answers
+            }
+            Fanout::Par => {
+                let idx: Vec<usize> = (0..self.shards.len()).collect();
+                // Worker threads have empty trace thread-locals; re-attach
+                // the caller's traced query id so per-shard hops keep
+                // their `q`.
+                let traced = lan_obs::trace::active_query();
+                lan_par::par_map_dyn(&idx, lan_par::Grain::Fine, |&s| {
+                    let _t = lan_obs::trace::propagate(traced);
+                    (self.search_shard(s, q, req, &ctx), t0.elapsed())
+                })
+            }
+        };
+        self.merge(req, &ctx, t0, answers)
     }
 
-    /// [`ShardedLanIndex::search`] under a query budget. All shards share
-    /// one [`BudgetCtx`], so the NDC cap is global across the query — and
-    /// once one shard exhausts it, the remaining shards are skipped
-    /// entirely (their best-so-far is simply absent from the merge).
-    /// Unlimited budgets are bit-identical to [`ShardedLanIndex::search`].
+    /// [`Self::search`] (sequential) with positional arguments;
+    /// `lanbench/` calls it.
     #[allow(clippy::too_many_arguments)]
     pub fn search_budgeted(
         &self,
@@ -132,28 +170,18 @@ impl ShardedLanIndex {
         seed: u64,
         budget: &QueryBudget,
     ) -> QueryOutcome {
-        if lan_obs::explain::enabled() {
-            let (out, ex) = self.search_explain_budgeted(q, k, b, init, route, seed, budget);
-            lan_obs::explain::emit(&ex);
-            return out;
-        }
-        let t0 = Instant::now();
-        let ctx = BudgetCtx::new(budget);
-        let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            if ctx.cancelled() {
-                break;
-            }
-            per_shard.push(shard.search_with_budget(q, k, b, init, route, seed ^ s as u64, &ctx));
-        }
-        self.merge_shard_outcomes(per_shard, k, t0, ctx.termination())
+        let req = SearchRequest {
+            init,
+            route,
+            seed,
+            budget: budget.clone(),
+            ..SearchRequest::new(k, b)
+        };
+        self.search(q, &req, Fanout::Seq).outcome
     }
 
-    /// [`ShardedLanIndex::search`] that additionally returns the merged
-    /// EXPLAIN plan: one sub-plan per searched shard (skipped shards are
-    /// absent), tier/NDC/hit counts summed, and a `shard.N` timeline entry
-    /// per shard giving the cumulative query NDC and the global wall-clock
-    /// offset at which that shard finished.
+    /// [`Self::search`] (sequential) returning the merged EXPLAIN plan;
+    /// `lanbench/` calls it.
     pub fn search_explain(
         &self,
         q: &Graph,
@@ -163,228 +191,69 @@ impl ShardedLanIndex {
         route: RouteStrategy,
         seed: u64,
     ) -> (QueryOutcome, QueryExplain) {
-        self.search_explain_budgeted(q, k, b, init, route, seed, &QueryBudget::unlimited())
-    }
-
-    /// [`ShardedLanIndex::search_explain`] under a query budget.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_explain_budgeted(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        budget: &QueryBudget,
-    ) -> (QueryOutcome, QueryExplain) {
-        let t0 = Instant::now();
-        let ctx = BudgetCtx::new(budget);
-        let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(self.shards.len());
-        let mut plans: Vec<QueryExplain> = Vec::with_capacity(self.shards.len());
-        let mut timeline: Vec<TimelineEvent> = Vec::with_capacity(self.shards.len());
-        let mut ndc_so_far = 0u64;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if ctx.cancelled() {
-                break;
-            }
-            let (out, ex) =
-                shard.search_explain_budgeted(q, k, b, init, route, seed ^ s as u64, &ctx);
-            ndc_so_far += ex.ndc;
-            timeline.push(TimelineEvent {
-                stage: format!("shard.{s}"),
-                ndc: ndc_so_far,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-            plans.push(ex);
-            per_shard.push(out);
-        }
-        let merged = self.merge_shard_outcomes(per_shard, k, t0, ctx.termination());
-        let ex = merged_explain(&merged, k, b, init, route, seed, &ctx, plans, timeline);
-        (merged, ex)
-    }
-
-    /// Parallel k-ANN: every shard searched concurrently, merged exactly
-    /// like [`ShardedLanIndex::search`]. Results and total NDC are
-    /// byte-identical to the sequential path (each shard's search is
-    /// deterministic and shard-local, and the merge is order-independent);
-    /// only `total_time` differs — it measures true wall-clock, so it
-    /// shrinks with the worker count.
-    pub fn search_par(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-    ) -> QueryOutcome {
-        self.search_par_budgeted(q, k, b, init, route, seed, &QueryBudget::unlimited())
-    }
-
-    /// [`ShardedLanIndex::search_par`] under a query budget: the shared
-    /// [`BudgetCtx`] crosses the `lan-par` fan-out, so the NDC cap is a
-    /// strict *global* bound (reservations are atomic) and the first
-    /// exhausted shard cooperatively cancels its siblings mid-flight.
-    ///
-    /// Unlimited budgets stay bit-identical to the sequential path. With a
-    /// *finite* budget the per-shard results depend on which shard's
-    /// computations won the budget race, so parallel degraded results are
-    /// best-so-far but not run-to-run deterministic — only the invariants
-    /// (NDC ≤ cap, degraded tag set) are guaranteed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_par_budgeted(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        budget: &QueryBudget,
-    ) -> QueryOutcome {
-        if lan_obs::explain::enabled() {
-            let (out, ex) = self.search_par_explain_budgeted(q, k, b, init, route, seed, budget);
-            lan_obs::explain::emit(&ex);
-            return out;
-        }
-        let t0 = Instant::now();
-        let ctx = BudgetCtx::new(budget);
-        let idx: Vec<usize> = (0..self.shards.len()).collect();
-        // Worker threads have empty trace thread-locals; re-attach the
-        // caller's traced query id so per-shard hops keep their `q`.
-        let traced = lan_obs::trace::active_query();
-        let per_shard: Vec<QueryOutcome> = lan_par::par_map_dyn(&idx, lan_par::Grain::Fine, |&s| {
-            let _t = lan_obs::trace::propagate(traced);
-            self.shards[s].search_with_budget(q, k, b, init, route, seed ^ s as u64, &ctx)
-        });
-        self.merge_shard_outcomes(per_shard, k, t0, ctx.termination())
-    }
-
-    /// [`ShardedLanIndex::search_par`] that additionally returns the
-    /// merged EXPLAIN plan. Shards overlap in time under the parallel
-    /// fan-out, so each `shard.N` timeline entry reports that shard's own
-    /// wall-clock (its sub-plan `total_ns`) rather than a global offset;
-    /// the cumulative NDC is accumulated in shard order.
-    pub fn search_par_explain(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-    ) -> (QueryOutcome, QueryExplain) {
-        self.search_par_explain_budgeted(q, k, b, init, route, seed, &QueryBudget::unlimited())
-    }
-
-    /// [`ShardedLanIndex::search_par_explain`] under a query budget.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_par_explain_budgeted(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        budget: &QueryBudget,
-    ) -> (QueryOutcome, QueryExplain) {
-        let t0 = Instant::now();
-        let ctx = BudgetCtx::new(budget);
-        let idx: Vec<usize> = (0..self.shards.len()).collect();
-        let traced = lan_obs::trace::active_query();
-        let pairs: Vec<(QueryOutcome, QueryExplain)> =
-            lan_par::par_map_dyn(&idx, lan_par::Grain::Fine, |&s| {
-                let _t = lan_obs::trace::propagate(traced);
-                self.shards[s].search_explain_budgeted(q, k, b, init, route, seed ^ s as u64, &ctx)
-            });
-        let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(pairs.len());
-        let mut plans: Vec<QueryExplain> = Vec::with_capacity(pairs.len());
-        let mut timeline: Vec<TimelineEvent> = Vec::with_capacity(pairs.len());
-        let mut ndc_so_far = 0u64;
-        for (s, (out, ex)) in pairs.into_iter().enumerate() {
-            ndc_so_far += ex.ndc;
-            timeline.push(TimelineEvent {
-                stage: format!("shard.{s}"),
-                ndc: ndc_so_far,
-                elapsed_ns: ex.total_ns,
-            });
-            plans.push(ex);
-            per_shard.push(out);
-        }
-        let merged = self.merge_shard_outcomes(per_shard, k, t0, ctx.termination());
-        let ex = merged_explain(&merged, k, b, init, route, seed, &ctx, plans, timeline);
-        (merged, ex)
-    }
-
-    /// One shard's slice of a fan-out query, executed through shard-shared
-    /// serving resources ([`SearchShared`]). Applies the same per-shard
-    /// seed derivation (`seed ^ s`) as every fan-out in this module, so a
-    /// serving front-end that runs shards through independent workers and
-    /// merges with [`ShardedLanIndex::merge_shard_outcomes`] reproduces
-    /// [`ShardedLanIndex::search_budgeted`] bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shard_search_budgeted_shared(
-        &self,
-        s: usize,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> QueryOutcome {
-        self.shards[s].search_with_budget_shared(q, k, b, init, route, seed ^ s as u64, ctx, shared)
-    }
-
-    /// [`ShardedLanIndex::shard_search_budgeted_shared`] returning the
-    /// shard's EXPLAIN sub-plan alongside the outcome.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shard_search_explain_budgeted_shared(
-        &self,
-        s: usize,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> (QueryOutcome, QueryExplain) {
-        self.shards[s].search_explain_budgeted_shared(
-            q,
-            k,
-            b,
+        let req = SearchRequest {
             init,
             route,
-            seed ^ s as u64,
-            ctx,
-            shared,
-        )
+            seed,
+            explain: true,
+            ..SearchRequest::new(k, b)
+        };
+        self.search(q, &req, Fanout::Seq).into_explained()
     }
 
-    /// Merges per-shard outcomes (ordered by shard index) into one global
-    /// outcome: local ids remapped through `global_ids`, NDC and the
-    /// distance/GNN time components summed, `(distance, id)`-sorted top-k.
-    /// Public so external fan-outs (the serving front-end) merge exactly
-    /// like the in-process fan-outs above.
-    pub fn merge_shard_outcomes(
+    /// Shard `s`'s slice of a fan-out query, with shard seed `req.seed ^
+    /// s` under the query's shared budget context. The response carries
+    /// the shard's sub-plan when the request asked for one or the EXPLAIN
+    /// ring is live; nothing is emitted here. An external fan-out (the
+    /// serving front-end) that runs every shard through this and hands
+    /// the answers to [`Self::merge`] reproduces [`Self::search`] bit for
+    /// bit.
+    pub fn search_shard(
         &self,
-        per_shard: Vec<QueryOutcome>,
-        k: usize,
+        s: usize,
+        q: &Graph,
+        req: &SearchRequest,
+        ctx: &BudgetCtx,
+    ) -> SearchResponse {
+        let shard_req = SearchRequest {
+            seed: req.seed ^ s as u64,
+            ..req.collecting()
+        };
+        self.shards[s].search_in(q, &shard_req, ctx)
+    }
+
+    /// Merges per-shard answers, in shard order, into the query's
+    /// response. Each answer pairs a [`Self::search_shard`] response with
+    /// that shard's finish offset from `t0`, the query start.
+    ///
+    /// The outcome remaps local ids through `global_ids`, sums NDC and the
+    /// distance/GNN time components, keeps the `(distance, id)`-sorted
+    /// top-k, and measures `total_time` from `t0`. When the shards carried
+    /// sub-plans, the merged plan sums their counts and init/route times
+    /// (CPU time under a parallel fan-out), nests them under `shards`, and
+    /// adds one `shard.N` timeline entry per answer with the cumulative
+    /// NDC and the finish offset. The plan is returned if `req.explain`,
+    /// otherwise emitted to the EXPLAIN ring — the one emission point of
+    /// every fan-out.
+    pub fn merge(
+        &self,
+        req: &SearchRequest,
+        ctx: &BudgetCtx,
         t0: Instant,
-        termination: Termination,
-    ) -> QueryOutcome {
+        answers: Vec<(SearchResponse, Duration)>,
+    ) -> SearchResponse {
         let mut merged: Vec<(f64, u32)> = Vec::new();
         let mut ndc = 0usize;
-        let mut distance_time = std::time::Duration::ZERO;
-        let mut gnn_time = std::time::Duration::ZERO;
+        let mut distance_time = Duration::ZERO;
+        let mut gnn_time = Duration::ZERO;
+        // A merged plan needs every shard's sub-plan (the EXPLAIN switch
+        // may flip mid-query).
+        let collected = !answers.is_empty() && answers.iter().all(|(r, _)| r.explain.is_some());
+        let mut plans: Vec<QueryExplain> = Vec::new();
+        let mut timeline: Vec<TimelineEvent> = Vec::new();
         let track_shards = lan_obs::enabled();
-        for (s, out) in per_shard.into_iter().enumerate() {
+        for (s, (resp, finished)) in answers.into_iter().enumerate() {
+            let out = resp.outcome;
             if track_shards {
                 lan_obs::counter(&lan_obs::names::shard_ndc(s)).add(out.ndc as u64);
             }
@@ -396,33 +265,36 @@ impl ShardedLanIndex {
                     .into_iter()
                     .map(|(d, local)| (d, self.global_ids[s][local as usize])),
             );
+            if let Some(ex) = resp.explain.filter(|_| collected) {
+                timeline.push(TimelineEvent {
+                    stage: format!("shard.{s}"),
+                    ndc: ndc as u64,
+                    elapsed_ns: finished.as_nanos() as u64,
+                });
+                plans.push(ex);
+            }
         }
         merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        merged.truncate(k);
-        QueryOutcome {
+        merged.truncate(req.k);
+        let outcome = QueryOutcome {
             results: merged,
             ndc,
             total_time: t0.elapsed(),
             distance_time,
             gnn_time,
-            termination,
-        }
+            termination: ctx.termination(),
+        };
+        let explain = collected.then(|| merged_plan(&outcome, req, ctx, plans, timeline));
+        SearchResponse { outcome, explain }.deliver(req)
     }
 }
 
-/// Assembles the fan-out's merged EXPLAIN plan: counts (NDC, hits, hops,
-/// tiers) and the init/route/distance/GNN time components are summed
-/// across the per-shard sub-plans (CPU time under the parallel fan-out),
-/// `total_ns` is the true wall-clock of the whole fan-out, and the
-/// sub-plans themselves ride along under `shards`.
-#[allow(clippy::too_many_arguments)]
-pub fn merged_explain(
+/// The fan-out's merged EXPLAIN plan: counts (NDC, hits, hops, tiers) and
+/// the init/route times summed over the sub-plans, the distance/GNN times
+/// and `total_ns` taken from the merged outcome.
+fn merged_plan(
     merged: &QueryOutcome,
-    k: usize,
-    b: usize,
-    init: InitStrategy,
-    route: RouteStrategy,
-    seed: u64,
+    req: &SearchRequest,
     ctx: &BudgetCtx,
     plans: Vec<QueryExplain>,
     timeline: Vec<TimelineEvent>,
@@ -439,13 +311,12 @@ pub fn merged_explain(
         cache_hits += p.cache_hits;
         hops += p.hops;
     }
-    let limits = ctx.limits();
     QueryExplain {
-        query: seed,
-        k,
-        b,
-        init: init.as_str().to_string(),
-        route: route.as_str().to_string(),
+        query: req.seed,
+        k: req.k,
+        b: req.b,
+        init: req.init.as_str().to_string(),
+        route: req.route.as_str().to_string(),
         termination: merged.termination.as_str().to_string(),
         total_ns: merged.total_time.as_nanos() as u64,
         init_ns,
@@ -456,12 +327,7 @@ pub fn merged_explain(
         cache_hits,
         hops,
         tiers,
-        budget: BudgetExplain {
-            max_ndc: limits.max_ndc.map(|v| v as u64),
-            deadline_ms: limits.deadline.map(|d| d.as_millis() as u64),
-            max_hops: limits.max_hops.map(|v| v as u64),
-            spent_ndc: ctx.spent() as u64,
-        },
+        budget: budget_explain(ctx),
         timeline,
         shards: plans,
     }
@@ -506,7 +372,12 @@ mod tests {
         let q = dataset.queries[0].clone();
         // Beam >= shard size: each shard's connected base layer is fully
         // explored, so the merge must be exact.
-        let out = sharded.search(&q, 5, 32, InitStrategy::HnswIs, RouteStrategy::HnswRoute, 0);
+        let req = SearchRequest {
+            init: InitStrategy::HnswIs,
+            route: RouteStrategy::HnswRoute,
+            ..SearchRequest::new(5, 32)
+        };
+        let out = sharded.search(&q, &req, Fanout::Seq).outcome;
         assert_eq!(out.results.len(), 5);
         assert!(out.results.windows(2).all(|w| w[0].0 <= w[1].0));
         // Global ids must span the whole database range, not one shard.

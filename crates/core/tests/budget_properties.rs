@@ -11,9 +11,12 @@
 //!   gracefully (tagged termination, best-so-far results, no panic);
 //! * `termination != Converged` **iff** the budget actually bound.
 
+mod common;
+
+use common::{run, run_served, SHAPES};
 use lan_core::{
-    BudgetCtx, InitStrategy, LanConfig, LanIndex, QueryBudget, RouteStrategy, ShardedLanIndex,
-    Termination,
+    BudgetCtx, Fanout, InitStrategy, LanConfig, LanIndex, QueryBudget, RouteStrategy,
+    SearchRequest, ShardedLanIndex, Termination,
 };
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
@@ -88,6 +91,7 @@ proptest! {
     /// Unlimited and exactly-sufficient budgets reproduce the unbudgeted
     /// search bit-for-bit; any tighter cap binds strictly and tags the
     /// outcome. Together: `termination != Converged` iff the cap bound.
+    /// Holds with and without an EXPLAIN plan.
     #[test]
     fn ndc_cap_is_strict_and_exact(
         seed in 0u64..1_000_000,
@@ -98,44 +102,51 @@ proptest! {
         let index = single_fixture();
         let q = dataset().queries[(seed % 10) as usize].clone();
         let (init, route) = strategies(full_lan);
-        let base = index.search_with(&q, k, b, init, route, seed);
+        let req = SearchRequest { init, route, seed, ..SearchRequest::new(k, b) };
+        let base = index.search(&q, &req).outcome;
         prop_assert_eq!(base.termination, Termination::Converged);
 
-        // Unlimited context: bit-identical (the fast path is literally
-        // the unbudgeted code).
-        let unlimited = BudgetCtx::unlimited();
-        let same = index.search_with_budget(&q, k, b, init, route, seed, &unlimited);
-        prop_assert_eq!(&base.results, &same.results);
-        prop_assert_eq!(base.ndc, same.ndc);
-        prop_assert_eq!(same.termination, Termination::Converged);
+        for explain in [false, true] {
+            let with = |budget: QueryBudget| SearchRequest { budget, explain, ..req.clone() };
 
-        // A cap equal to the unbudgeted NDC never blocks: every charge is
-        // a real cache miss, so the peek-then-charge path must also be
-        // bit-identical — this exercises the finite-budget accounting.
-        let exact = BudgetCtx::new(&QueryBudget::unlimited().with_max_ndc(base.ndc));
-        let tight = index.search_with_budget(&q, k, b, init, route, seed, &exact);
-        prop_assert_eq!(&base.results, &tight.results, "exact cap changed results");
-        prop_assert_eq!(base.ndc, tight.ndc, "exact cap changed NDC");
-        prop_assert_eq!(tight.termination, Termination::Converged);
+            // Unlimited budget: bit-identical (the fast path is literally
+            // the unbudgeted code).
+            let same = index.search(&q, &with(QueryBudget::unlimited())).outcome;
+            prop_assert_eq!(&base.results, &same.results);
+            prop_assert_eq!(base.ndc, same.ndc);
+            prop_assert_eq!(same.termination, Termination::Converged);
 
-        // Any smaller cap must bind: NDC never exceeds it and the outcome
-        // is tagged degraded. No panic, results stay sorted.
-        for cap in [1usize, base.ndc / 2, base.ndc.saturating_sub(1)] {
-            if cap == 0 || cap >= base.ndc {
-                continue;
+            // A cap equal to the unbudgeted NDC never blocks: every charge
+            // is a real cache miss, so the peek-then-charge path must also
+            // be bit-identical — this exercises the finite-budget
+            // accounting.
+            let exact = with(QueryBudget::unlimited().with_max_ndc(base.ndc));
+            let tight = index.search(&q, &exact).outcome;
+            prop_assert_eq!(&base.results, &tight.results, "exact cap changed results");
+            prop_assert_eq!(base.ndc, tight.ndc, "exact cap changed NDC");
+            prop_assert_eq!(tight.termination, Termination::Converged);
+
+            // Any smaller cap must bind: NDC never exceeds it and the
+            // outcome is tagged degraded. No panic, results stay sorted.
+            for cap in [1usize, base.ndc / 2, base.ndc.saturating_sub(1)] {
+                if cap == 0 || cap >= base.ndc {
+                    continue;
+                }
+                let capped = with(QueryBudget::unlimited().with_max_ndc(cap));
+                let out = index.search(&q, &capped).outcome;
+                prop_assert!(out.ndc <= cap, "cap {} exceeded: ndc {}", cap, out.ndc);
+                prop_assert!(out.termination.is_degraded(),
+                    "cap {} < unbudgeted NDC {} must degrade", cap, base.ndc);
+                prop_assert!(out.results.windows(2).all(|w| w[0].0 <= w[1].0));
             }
-            let ctx = BudgetCtx::new(&QueryBudget::unlimited().with_max_ndc(cap));
-            let out = index.search_with_budget(&q, k, b, init, route, seed, &ctx);
-            prop_assert!(out.ndc <= cap, "cap {} exceeded: ndc {}", cap, out.ndc);
-            prop_assert!(out.termination.is_degraded(),
-                "cap {} < unbudgeted NDC {} must degrade", cap, base.ndc);
-            prop_assert!(out.results.windows(2).all(|w| w[0].0 <= w[1].0));
         }
     }
 
-    /// The sharded paths obey the same contract, with one budget shared
-    /// across every shard: the cap bounds the *summed* NDC, and unlimited
-    /// budgets stay identical to the unbudgeted sequential/parallel paths.
+    /// Every sharded shape (both fan-outs and the serving front-end's
+    /// per-shard calls plus merge, each with and without an EXPLAIN plan)
+    /// obeys the same contract, with one budget shared across every
+    /// shard: the cap bounds the *summed* NDC, and unlimited budgets stay
+    /// identical to the unbudgeted sequential path.
     #[test]
     fn sharded_budget_is_shared_and_strict(
         seed in 0u64..1_000_000,
@@ -147,32 +158,29 @@ proptest! {
         let sharded = sharded_fixture();
         let q = dataset().queries[(seed % 10) as usize].clone();
         let (init, route) = strategies(full_lan);
-        let base = sharded.search(&q, k, b, init, route, seed);
+        let req = SearchRequest { init, route, seed, ..SearchRequest::new(k, b) };
+        let base = sharded.search(&q, &req, Fanout::Seq).outcome;
         prop_assert_eq!(base.termination, Termination::Converged);
 
-        let unl = sharded.search_budgeted(&q, k, b, init, route, seed,
-            &QueryBudget::unlimited());
-        prop_assert_eq!(&base.results, &unl.results);
-        prop_assert_eq!(base.ndc, unl.ndc);
+        for shape in SHAPES {
+            for explain in [false, true] {
+                let with = |budget: QueryBudget| SearchRequest { budget, explain, ..req.clone() };
+                let unl = run(sharded, &q, &with(QueryBudget::unlimited()), shape).outcome;
+                prop_assert_eq!(&base.results, &unl.results);
+                prop_assert_eq!(base.ndc, unl.ndc);
 
-        let par = sharded.search_par_budgeted(&q, k, b, init, route, seed,
-            &QueryBudget::unlimited());
-        prop_assert_eq!(&base.results, &par.results);
-        prop_assert_eq!(base.ndc, par.ndc);
-
-        // A shared finite cap bounds the summed NDC on both shard paths.
-        for cap in [1usize, base.ndc / 3, base.ndc / 2] {
-            if cap == 0 {
-                continue;
-            }
-            let budget = QueryBudget::unlimited().with_max_ndc(cap);
-            let seq = sharded.search_budgeted(&q, k, b, init, route, seed, &budget);
-            prop_assert!(seq.ndc <= cap, "sequential shards: {} > cap {}", seq.ndc, cap);
-            let par = sharded.search_par_budgeted(&q, k, b, init, route, seed, &budget);
-            prop_assert!(par.ndc <= cap, "parallel shards: {} > cap {}", par.ndc, cap);
-            if cap < base.ndc {
-                prop_assert!(seq.termination.is_degraded());
-                prop_assert!(par.termination.is_degraded());
+                // A shared finite cap bounds the summed NDC.
+                for cap in [1usize, base.ndc / 3, base.ndc / 2] {
+                    if cap == 0 {
+                        continue;
+                    }
+                    let capped = with(QueryBudget::unlimited().with_max_ndc(cap));
+                    let out = run(sharded, &q, &capped, shape).outcome;
+                    prop_assert!(out.ndc <= cap, "{:?} shards: {} > cap {}", shape, out.ndc, cap);
+                    if cap < base.ndc {
+                        prop_assert!(out.termination.is_degraded());
+                    }
+                }
             }
         }
     }
@@ -184,37 +192,36 @@ proptest! {
 fn expired_deadline_degrades_gracefully() {
     let index = single_fixture();
     let q = dataset().queries[0].clone();
-    let ctx = BudgetCtx::new(&QueryBudget::unlimited().with_deadline(Duration::ZERO));
-    let out = index.search_with_budget(
-        &q,
-        5,
-        8,
-        InitStrategy::HnswIs,
-        RouteStrategy::HnswRoute,
-        0,
-        &ctx,
-    );
+    let req = SearchRequest {
+        init: InitStrategy::HnswIs,
+        route: RouteStrategy::HnswRoute,
+        budget: QueryBudget::unlimited().with_deadline(Duration::ZERO),
+        ..SearchRequest::new(5, 8)
+    };
+    let out = index.search(&q, &req).outcome;
     assert_eq!(out.termination, Termination::Deadline);
     assert_eq!(out.ndc, 0, "no distance may be charged after the deadline");
 }
 
 /// The hop cap bounds exploration without cancelling anything: the query
-/// ends degraded with at most `max_hops` explored nodes' worth of work.
+/// ends degraded with at most `max_hops` explored nodes' worth of work
+/// per shard. Runs in the serving shape, which owns the shared context.
 #[test]
 fn hop_cap_bounds_exploration() {
-    let index = single_fixture();
+    let sharded = sharded_fixture();
     let q = dataset().queries[1].clone();
-    let base = index.search_with(&q, 5, 16, InitStrategy::HnswIs, RouteStrategy::HnswRoute, 0);
-    let ctx = BudgetCtx::new(&QueryBudget::unlimited().with_max_hops(1));
-    let out = index.search_with_budget(
-        &q,
-        5,
-        16,
-        InitStrategy::HnswIs,
-        RouteStrategy::HnswRoute,
-        0,
-        &ctx,
-    );
+    let req = SearchRequest {
+        init: InitStrategy::HnswIs,
+        route: RouteStrategy::HnswRoute,
+        ..SearchRequest::new(5, 16)
+    };
+    let base = sharded.search(&q, &req, Fanout::Seq).outcome;
+    let req = SearchRequest {
+        budget: QueryBudget::unlimited().with_max_hops(1),
+        ..req
+    };
+    let ctx = BudgetCtx::new(&req.budget);
+    let out = run_served(sharded, &q, &req, &ctx).outcome;
     assert!(out.termination.is_degraded());
     assert!(!ctx.cancelled(), "a hop cap must not cancel sibling shards");
     assert!(

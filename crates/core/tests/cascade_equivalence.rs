@@ -4,7 +4,7 @@
 //! by hand over a plain exact-distance closure, which cannot produce
 //! bounds and therefore follows the seed code path.
 
-use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy};
+use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::{LearnedRanker, ModelConfig};
 use lan_pg::np_route::np_route;
@@ -44,7 +44,12 @@ fn search_matches_plain_oracle_routing() {
         let f = |id: u32| index.dataset.distance(&q, id);
 
         // HNSW baseline: hierarchy entry + Algorithm 1.
-        let out = index.search_with(&q, k, b, InitStrategy::HnswIs, RouteStrategy::HnswRoute, 0);
+        let req = SearchRequest {
+            init: InitStrategy::HnswIs,
+            route: RouteStrategy::HnswRoute,
+            ..SearchRequest::new(k, b)
+        };
+        let out = index.search(&q, &req).outcome;
         let cache = DistCache::new(&f);
         let entry = index.pg.hnsw_entry(&cache);
         let rr = beam_search(index.pg.base(), &cache, &[entry], b, k);
@@ -54,14 +59,12 @@ fn search_matches_plain_oracle_routing() {
 
         // LAN routing (Algorithms 2-4), with and without CG acceleration.
         for use_cg in [true, false] {
-            let out = index.search_with(
-                &q,
-                k,
-                b,
-                InitStrategy::HnswIs,
-                RouteStrategy::LanRoute { use_cg },
-                0,
-            );
+            let req = SearchRequest {
+                init: InitStrategy::HnswIs,
+                route: RouteStrategy::LanRoute { use_cg },
+                ..SearchRequest::new(k, b)
+            };
+            let out = index.search(&q, &req).outcome;
             let cache = DistCache::new(&f);
             let entry = index.pg.hnsw_entry(&cache);
             let qc = index.models.query_context(&q, use_cg);

@@ -1,14 +1,18 @@
 //! EXPLAIN-plan reconciliation properties: the per-tier NDC attribution
 //! must sum *exactly* to the query's NDC — which equals the `ged.calls`
-//! registry delta — under every termination cause and under both shard
-//! fan-outs, and collecting a plan must never perturb the search.
+//! registry delta — under every termination cause and in every shard
+//! fan-out shape, and collecting a plan must never perturb the search.
 //!
 //! The tests read global-registry deltas and flip the EXPLAIN switch, so
 //! every test serializes on one lock (they share this binary's process
 //! with nothing else).
 
+mod common;
+
+use common::{run, SHAPES};
 use lan_core::{
-    InitStrategy, LanConfig, LanIndex, QueryBudget, QueryOutcome, RouteStrategy, ShardedLanIndex,
+    InitStrategy, LanConfig, LanIndex, QueryBudget, QueryOutcome, RouteStrategy, SearchRequest,
+    SearchResponse, ShardedLanIndex,
 };
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
@@ -83,6 +87,10 @@ fn assert_reconciles(out: &QueryOutcome, ex: &QueryExplain, ged_delta: u64, what
     );
 }
 
+fn explained(resp: SearchResponse) -> (QueryOutcome, QueryExplain) {
+    (resp.outcome, resp.explain.expect("plan requested"))
+}
+
 fn ged_calls() -> u64 {
     lan_obs::counter(lan_obs::names::GED_CALLS).get()
 }
@@ -114,10 +122,16 @@ fn tiers_reconcile_under_every_termination_cause() {
         for qi in 0..3usize {
             let q = index.dataset.queries[qi].clone();
             for (label, budget) in &budgets {
-                let ctx = lan_core::BudgetCtx::new(budget);
+                let req = SearchRequest {
+                    init,
+                    route,
+                    seed: qi as u64,
+                    budget: budget.clone(),
+                    explain: true,
+                    ..SearchRequest::new(5, 10)
+                };
                 let before = ged_calls();
-                let (out, ex) =
-                    index.search_explain_budgeted(&q, 5, 10, init, route, qi as u64, &ctx);
+                let (out, ex) = explained(index.search(&q, &req));
                 let delta = ged_calls() - before;
                 causes.insert(ex.termination.clone());
                 assert_reconciles(&out, &ex, delta, &format!("{label}/{}", route.as_str()));
@@ -144,44 +158,67 @@ fn tiers_reconcile_under_every_termination_cause() {
 }
 
 #[test]
-fn sharded_fanout_reconciles_sequential_and_parallel() {
+fn sharded_fanout_reconciles_in_every_shape() {
     let _l = lock();
     lan_obs::set_enabled(true);
     let sharded = sharded();
     let q = sharded.shards[0].dataset.queries[0].clone();
-    let init = InitStrategy::LanIs;
-    let route = RouteStrategy::LanRoute { use_cg: true };
+    let req = SearchRequest {
+        seed: 1,
+        explain: true,
+        ..SearchRequest::new(5, 10)
+    };
 
     for (label, budget) in [
         ("unlimited", QueryBudget::unlimited()),
         ("ndc_8", QueryBudget::unlimited().with_max_ndc(8)),
     ] {
-        let before = ged_calls();
-        let (out, ex) = sharded.search_explain_budgeted(&q, 5, 10, init, route, 1, &budget);
-        let delta = ged_calls() - before;
-        assert_reconciles(&out, &ex, delta, &format!("sharded-seq/{label}"));
-        assert!(!ex.shards.is_empty(), "merged plan lost its sub-plans");
-        // The merged counters are exactly the sums of the sub-plans.
-        let sub_ndc: u64 = ex.shards.iter().map(|s| s.ndc).sum();
-        let sub_tiers: u64 = ex.shards.iter().map(|s| s.tiers.attributed()).sum();
-        assert_eq!(ex.ndc, sub_ndc, "{label}: merged NDC != sum of shard NDC");
-        assert_eq!(ex.tiers.attributed(), sub_tiers, "{label}");
-        assert_eq!(
-            ex.timeline.len(),
-            ex.shards.len(),
-            "{label}: one timeline entry per searched shard"
-        );
-
-        let before = ged_calls();
-        let (pout, pex) = sharded.search_par_explain_budgeted(&q, 5, 10, init, route, 1, &budget);
-        let pdelta = ged_calls() - before;
-        assert_reconciles(&pout, &pex, pdelta, &format!("sharded-par/{label}"));
-        if budget.is_unlimited() {
-            // The parallel fan-out is bit-identical to sequential when no
-            // budget races the shards.
-            assert_eq!(out.results, pout.results, "{label}");
-            assert_eq!(ex.ndc, pex.ndc, "{label}");
-            assert_eq!(ex.tiers, pex.tiers, "{label}");
+        let req = SearchRequest {
+            budget: budget.clone(),
+            ..req.clone()
+        };
+        // `SHAPES` starts with the sequential fan-out, the reference.
+        let mut seq: Option<(QueryOutcome, QueryExplain)> = None;
+        for shape in SHAPES {
+            let label = format!("{shape:?}/{label}");
+            let before = ged_calls();
+            let (out, ex) = explained(run(sharded, &q, &req, shape));
+            let delta = ged_calls() - before;
+            assert_reconciles(&out, &ex, delta, &label);
+            assert!(!ex.shards.is_empty(), "merged plan lost its sub-plans");
+            // The merged counters are exactly the sums of the sub-plans.
+            let sub_ndc: u64 = ex.shards.iter().map(|s| s.ndc).sum();
+            let sub_tiers: u64 = ex.shards.iter().map(|s| s.tiers.attributed()).sum();
+            assert_eq!(ex.ndc, sub_ndc, "{label}: merged NDC != sum of shard NDC");
+            assert_eq!(ex.tiers.attributed(), sub_tiers, "{label}");
+            assert_eq!(
+                ex.timeline.len(),
+                ex.shards.len(),
+                "{label}: one timeline entry per searched shard"
+            );
+            // Each `shard.N` entry is that shard's finish offset from the
+            // query start: after the shard's own run, before the merge.
+            for (entry, shard) in ex.timeline.iter().zip(&ex.shards) {
+                assert!(
+                    shard.total_ns <= entry.elapsed_ns && entry.elapsed_ns <= ex.total_ns,
+                    "{label}: {} finished at {} ns, outside [{}, {}]",
+                    entry.stage,
+                    entry.elapsed_ns,
+                    shard.total_ns,
+                    ex.total_ns
+                );
+            }
+            match &seq {
+                None => seq = Some((out, ex)),
+                // Every shape is bit-identical to sequential when no
+                // budget races the shards.
+                Some((sout, sex)) if budget.is_unlimited() => {
+                    assert_eq!(sout.results, out.results, "{label}");
+                    assert_eq!(sex.ndc, ex.ndc, "{label}");
+                    assert_eq!(sex.tiers, ex.tiers, "{label}");
+                }
+                Some(_) => {}
+            }
         }
     }
 }
@@ -208,8 +245,18 @@ fn collecting_a_plan_never_perturbs_the_search() {
     ] {
         for qi in 0..4usize {
             let q = index.dataset.queries[qi].clone();
-            let plain = index.search_with(&q, 5, 10, init, route, qi as u64);
-            let (explained, ex) = index.search_explain(&q, 5, 10, init, route, qi as u64);
+            let req = SearchRequest {
+                init,
+                route,
+                seed: qi as u64,
+                ..SearchRequest::new(5, 10)
+            };
+            let plain = index.search(&q, &req).outcome;
+            let explain = SearchRequest {
+                explain: true,
+                ..req
+            };
+            let (explained, ex) = explained(index.search(&q, &explain));
             assert_eq!(plain.results, explained.results, "{}", route.as_str());
             assert_eq!(plain.ndc, explained.ndc, "{}", route.as_str());
             assert_eq!(ex.init, init.as_str());
@@ -228,14 +275,14 @@ fn env_gated_emission_lands_in_the_ring() {
 
     lan_obs::explain::set_enabled(false);
     lan_obs::explain::drain();
-    let _ = index.search(&q, 5, 10);
+    let _ = index.search(&q, &SearchRequest::new(5, 10));
     assert!(
         lan_obs::explain::drain().is_empty(),
         "disabled EXPLAIN must emit nothing"
     );
 
     lan_obs::explain::set_enabled(true);
-    let plain = index.search(&q, 5, 10);
+    let plain = index.search(&q, &SearchRequest::new(5, 10)).outcome;
     let lines = lan_obs::explain::drain();
     lan_obs::explain::set_enabled(false);
     assert_eq!(lines.len(), 1, "one emitted plan per top-level search");
@@ -246,29 +293,29 @@ fn env_gated_emission_lands_in_the_ring() {
         "emitted plan must carry the query's NDC: {line}"
     );
 
-    // Sharded top-level searches emit exactly one (merged) plan too —
-    // per-shard sub-searches must not double-emit.
+    // Sharded top-level searches emit exactly one (merged) plan too, in
+    // every shape — per-shard sub-searches must not double-emit.
     let sharded = sharded();
     lan_obs::explain::set_enabled(true);
-    let _ = sharded.search(
-        &q,
-        5,
-        10,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-        0,
-    );
-    let _ = sharded.search_par(
-        &q,
-        5,
-        10,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-        0,
-    );
+    for shape in SHAPES {
+        let _ = run(sharded, &q, &SearchRequest::new(5, 10), shape);
+    }
+    // A plan the request asked for belongs to the caller, not the ring.
+    let asked = SearchRequest {
+        explain: true,
+        ..SearchRequest::new(5, 10)
+    };
+    let _ = index.search(&q, &asked);
+    for shape in SHAPES {
+        let _ = run(sharded, &q, &asked, shape);
+    }
     let lines = lan_obs::explain::drain();
     lan_obs::explain::set_enabled(false);
-    assert_eq!(lines.len(), 2, "one merged plan per sharded search");
+    assert_eq!(
+        lines.len(),
+        SHAPES.len(),
+        "one merged plan per sharded search"
+    );
     assert!(
         lines.iter().all(|l| l.contains("\"stage\":\"shard.0\"")),
         "merged plans must carry per-shard timeline entries"

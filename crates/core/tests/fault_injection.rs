@@ -9,7 +9,7 @@
 //! process). Within this binary, every test serializes on the shared env
 //! lock.
 
-use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy};
+use lan_core::{LanConfig, LanIndex, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_obs::names;
@@ -58,14 +58,11 @@ fn run_all(index: &LanIndex, plan: Option<FaultPlan>) -> Vec<Vec<(f64, u32)>> {
         .iter()
         .map(|&qi| {
             let q = &index.dataset.queries[qi];
-            let out = index.search_with(
-                q,
-                5,
-                8,
-                InitStrategy::LanIs,
-                RouteStrategy::LanRoute { use_cg: true },
-                qi as u64,
-            );
+            let req = SearchRequest {
+                seed: qi as u64,
+                ..SearchRequest::new(5, 8)
+            };
+            let out = index.search(q, &req).outcome;
             assert!(
                 out.results.iter().all(|&(d, _)| d.is_finite() && d >= 0.0),
                 "faulted query {qi} produced a non-finite distance"

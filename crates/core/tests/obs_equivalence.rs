@@ -5,7 +5,7 @@
 //! threads.
 
 use lan_core::harness::ground_truths;
-use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy};
+use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_pg::PgConfig;
@@ -57,15 +57,21 @@ fn metrics_state_never_changes_results_or_ndc() {
         for qi in 0..4usize {
             let q = index.dataset.queries[qi].clone();
             for seed in [0u64, 7, 1234] {
+                let req = SearchRequest {
+                    init,
+                    route,
+                    seed,
+                    ..SearchRequest::new(3, 4)
+                };
                 lan_obs::set_enabled(true);
                 lan_obs::trace::set_route_enabled(true);
                 let _t = lan_obs::trace::query(qi as u64);
-                let on = index.search_with(&q, 3, 4, init, route, seed);
+                let on = index.search(&q, &req).outcome;
                 drop(_t);
 
                 lan_obs::set_enabled(false);
                 lan_obs::trace::set_route_enabled(false);
-                let off = index.search_with(&q, 3, 4, init, route, seed);
+                let off = index.search(&q, &req).outcome;
 
                 assert_eq!(
                     on.results, off.results,

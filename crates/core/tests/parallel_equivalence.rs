@@ -7,7 +7,13 @@
 //! every call; all tests in this binary set the same value, so concurrent
 //! setters cannot race to different configurations).
 
-use lan_core::{harness, InitStrategy, LanConfig, LanIndex, RouteStrategy, ShardedLanIndex};
+mod common;
+
+use common::{run, SHAPES};
+use lan_core::{
+    harness, Fanout, InitStrategy, LanConfig, LanIndex, RouteStrategy, SearchRequest,
+    ShardedLanIndex,
+};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_pg::PgConfig;
@@ -71,8 +77,10 @@ fn single_fixture() -> &'static LanIndex {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Parallel sharded search is byte-identical to sequential across
-    /// seeds, shard counts, k, beam widths, and both routing families.
+    /// Every fan-out shape (parallel, and the serving front-end's per-shard
+    /// calls plus merge), with and without an EXPLAIN plan, is
+    /// byte-identical to the plain sequential search across seeds, shard
+    /// counts, k, beam widths, and both routing families.
     #[test]
     fn sharded_parallel_matches_sequential(
         seed in 0u64..1_000_000,
@@ -89,11 +97,18 @@ proptest! {
         } else {
             (InitStrategy::HnswIs, RouteStrategy::HnswRoute)
         };
-        let seq = sharded.search(&q, k, b, init, route, seed);
-        let par = sharded.search_par(&q, k, b, init, route, seed);
-        prop_assert_eq!(&seq.results, &par.results,
-            "parallel sharded results diverged");
-        prop_assert_eq!(seq.ndc, par.ndc, "parallel sharded NDC diverged");
+        let req = SearchRequest { init, route, seed, ..SearchRequest::new(k, b) };
+        let seq = sharded.search(&q, &req, Fanout::Seq).outcome;
+        for shape in SHAPES {
+            for explain in [false, true] {
+                let req = SearchRequest { explain, ..req.clone() };
+                let par = run(sharded, &q, &req, shape).outcome;
+                prop_assert_eq!(&seq.results, &par.results,
+                    "parallel sharded results diverged ({:?}, explain={})", shape, explain);
+                prop_assert_eq!(seq.ndc, par.ndc,
+                    "parallel sharded NDC diverged ({:?}, explain={})", shape, explain);
+            }
+        }
     }
 }
 
@@ -151,8 +166,8 @@ fn build_is_thread_count_invariant() {
     assert_eq!(a.models.db_embeds, b.models.db_embeds);
     assert_eq!(a.report.gamma_star, b.report.gamma_star);
     let q = dataset().queries[0].clone();
-    let oa = a.search(&q, 5, 8);
-    let ob = b.search(&q, 5, 8);
+    let oa = a.search(&q, &SearchRequest::new(5, 8)).outcome;
+    let ob = b.search(&q, &SearchRequest::new(5, 8)).outcome;
     assert_eq!(oa.results, ob.results);
     assert_eq!(oa.ndc, ob.ndc);
 }

@@ -8,7 +8,7 @@
 //! * with a tight margin the tier actually engages (surrogate evaluations
 //!   observed) and still returns k results.
 
-use lan_core::{InitStrategy, LanConfig, LanIndex, QuantConfig, QuantMode, RouteStrategy};
+use lan_core::{InitStrategy, LanConfig, LanIndex, QuantConfig, QuantMode, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_pg::PgConfig;
@@ -71,22 +71,12 @@ fn huge_margin_prefilter_is_bit_identical_to_off() {
     let (k, b) = (3usize, 4usize);
     for qi in 0..6usize {
         let q = off.dataset.queries[qi].clone();
-        let a = off.search_with(
-            &q,
-            k,
-            b,
-            InitStrategy::HnswIs,
-            RouteStrategy::LanRoute { use_cg: true },
-            0,
-        );
-        let z = huge.search_with(
-            &q,
-            k,
-            b,
-            InitStrategy::HnswIs,
-            RouteStrategy::LanRoute { use_cg: true },
-            0,
-        );
+        let req = SearchRequest {
+            init: InitStrategy::HnswIs,
+            ..SearchRequest::new(k, b)
+        };
+        let a = off.search(&q, &req).outcome;
+        let z = huge.search(&q, &req).outcome;
         assert_eq!(a.results, z.results, "q={qi}");
         assert_eq!(a.ndc, z.ndc, "q={qi}");
     }
@@ -102,14 +92,11 @@ fn tight_margin_engages_the_tier() {
     let before = lan_obs::snapshot();
     for qi in 0..6usize {
         let q = index.dataset.queries[qi].clone();
-        let out = index.search_with(
-            &q,
-            k,
-            b,
-            InitStrategy::HnswIs,
-            RouteStrategy::LanRoute { use_cg: true },
-            0,
-        );
+        let req = SearchRequest {
+            init: InitStrategy::HnswIs,
+            ..SearchRequest::new(k, b)
+        };
+        let out = index.search(&q, &req).outcome;
         assert_eq!(out.results.len(), k, "q={qi}");
     }
     let delta = lan_obs::snapshot().diff(&before);

@@ -9,7 +9,7 @@
 //! scheduling bug anywhere in the stack shows up here as a digest
 //! mismatch.
 
-use lan_core::{InitStrategy, LanConfig, RouteStrategy, ShardedLanIndex};
+use lan_core::{Fanout, LanConfig, SearchRequest, ShardedLanIndex};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_par::testenv;
@@ -72,28 +72,29 @@ fn run_batch(threads: &str, sched: &str) -> BatchFingerprint {
             let before = lan_obs::snapshot();
             let outs: Vec<lan_core::QueryOutcome> =
                 lan_par::par_map_indices_dyn(ds.queries.len(), lan_par::Grain::Fine, |qi| {
-                    sharded.search(
-                        &ds.queries[qi],
-                        K,
-                        B,
-                        InitStrategy::LanIs,
-                        RouteStrategy::LanRoute { use_cg: true },
-                        qi as u64,
-                    )
+                    sharded
+                        .search(
+                            &ds.queries[qi],
+                            &SearchRequest {
+                                seed: qi as u64,
+                                ..SearchRequest::new(K, B)
+                            },
+                            Fanout::Seq,
+                        )
+                        .outcome
                 });
             let ged_calls_delta = lan_obs::snapshot()
                 .diff(&before)
                 .counter(lan_obs::names::GED_CALLS);
             let tiers = (0..ds.queries.len().min(4))
                 .map(|qi| {
-                    let (_, ex) = sharded.search_explain(
-                        &ds.queries[qi],
-                        K,
-                        B,
-                        InitStrategy::LanIs,
-                        RouteStrategy::LanRoute { use_cg: true },
-                        qi as u64,
-                    );
+                    let req = SearchRequest {
+                        seed: qi as u64,
+                        explain: true,
+                        ..SearchRequest::new(K, B)
+                    };
+                    let resp = sharded.search(&ds.queries[qi], &req, Fanout::Seq);
+                    let ex = resp.explain.expect("plan requested");
                     (
                         ex.tiers.quant_skips,
                         ex.tiers.lb_prunes,

@@ -10,7 +10,10 @@
 //!   future format version come back as typed [`StoreError`]s, never a
 //!   panic or silently wrong data.
 
-use lan_core::{InitStrategy, L2RouteIndex, LanConfig, LanIndex, RouteStrategy, ShardedLanIndex};
+use lan_core::{
+    Fanout, InitStrategy, L2RouteIndex, LanConfig, LanIndex, RouteStrategy, SearchRequest,
+    SearchResponse, ShardedLanIndex,
+};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_pg::PgConfig;
@@ -93,14 +96,20 @@ fn flat_index_round_trips_bit_identically() {
         for qi in 0..6usize {
             let q = built.dataset.queries[qi].clone();
             for seed in [0u64, 7] {
+                let req = SearchRequest {
+                    init,
+                    route,
+                    seed,
+                    ..SearchRequest::new(3, 4)
+                };
                 let s0 = lan_obs::snapshot();
-                let a = built.search_with(&q, 3, 4, init, route, seed);
+                let a = built.search(&q, &req).outcome;
                 let built_calls = lan_obs::snapshot()
                     .diff(&s0)
                     .counter(lan_obs::names::GED_CALLS);
 
                 let s1 = lan_obs::snapshot();
-                let b = loaded.search_with(&q, 3, 4, init, route, seed);
+                let b = loaded.search(&q, &req).outcome;
                 let loaded_calls = lan_obs::snapshot()
                     .diff(&s1)
                     .counter(lan_obs::names::GED_CALLS);
@@ -125,8 +134,15 @@ fn flat_index_explain_attribution_survives_reload() {
     for (init, route) in STRATEGIES {
         for qi in 0..4usize {
             let q = built.dataset.queries[qi].clone();
-            let (a, ea) = built.search_explain(&q, 3, 4, init, route, 0);
-            let (b, eb) = loaded.search_explain(&q, 3, 4, init, route, 0);
+            let req = SearchRequest {
+                init,
+                route,
+                explain: true,
+                ..SearchRequest::new(3, 4)
+            };
+            let explained = |r: SearchResponse| (r.outcome, r.explain.expect("plan requested"));
+            let (a, ea) = explained(built.search(&q, &req));
+            let (b, eb) = explained(loaded.search(&q, &req));
             let tag = format!("init={init:?} route={route:?} qi={qi}");
             assert_eq!(a.results, b.results, "results diverged ({tag})");
             // Reconciliation holds on both sides and the per-tier split
@@ -179,13 +195,19 @@ fn sharded_index_round_trips_bit_identically() {
         for qi in 0..4usize {
             let q = ds.queries[qi].clone();
             for seed in [0u64, 7] {
-                let a = built.search(&q, 3, 4, init, route, seed);
-                let b = loaded.search(&q, 3, 4, init, route, seed);
+                let req = SearchRequest {
+                    init,
+                    route,
+                    seed,
+                    ..SearchRequest::new(3, 4)
+                };
+                let a = built.search(&q, &req, Fanout::Seq).outcome;
+                let b = loaded.search(&q, &req, Fanout::Seq).outcome;
                 let tag = format!("init={init:?} route={route:?} qi={qi} seed={seed}");
                 assert_eq!(a.results, b.results, "results diverged ({tag})");
                 assert_eq!(a.ndc, b.ndc, "NDC diverged ({tag})");
                 // The parallel fan-out over loaded shards must agree too.
-                let p = loaded.search_par(&q, 3, 4, init, route, seed);
+                let p = loaded.search(&q, &req, Fanout::Par).outcome;
                 assert_eq!(a.results, p.results, "parallel fan-out diverged ({tag})");
             }
         }

@@ -1,7 +1,9 @@
 //! System-level tests: build a small LAN index and exercise every query
 //! strategy the paper measures.
 
-use lan_core::{harness, InitStrategy, L2RouteIndex, LanConfig, LanIndex, RouteStrategy};
+use lan_core::{
+    harness, InitStrategy, L2RouteIndex, LanConfig, LanIndex, RouteStrategy, SearchRequest,
+};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::GedMethod;
 use lan_models::ModelConfig;
@@ -58,7 +60,13 @@ fn all_strategy_combinations_work() {
         (InitStrategy::RandIs, RouteStrategy::HnswRoute),
     ];
     for (init, route) in combos {
-        let out = idx.search_with(&q, 5, 10, init, route, 7);
+        let req = SearchRequest {
+            init,
+            route,
+            seed: 7,
+            ..SearchRequest::new(5, 10)
+        };
+        let out = idx.search(&q, &req).outcome;
         assert_eq!(out.results.len(), 5, "{init:?}/{route:?}");
         assert!(out.results.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(out.ndc > 0);
@@ -73,22 +81,17 @@ fn cg_and_plain_routing_agree() {
     let idx = small_index();
     for &qi in idx.dataset.split.test.iter().take(3) {
         let q = idx.dataset.queries[qi].clone();
-        let a = idx.search_with(
-            &q,
-            5,
-            10,
-            InitStrategy::LanIs,
-            RouteStrategy::LanRoute { use_cg: true },
-            3,
-        );
-        let b = idx.search_with(
-            &q,
-            5,
-            10,
-            InitStrategy::LanIs,
-            RouteStrategy::LanRoute { use_cg: false },
-            3,
-        );
+        let req = SearchRequest {
+            seed: 3,
+            ..SearchRequest::new(5, 10)
+        };
+        let a = idx.search(&q, &req).outcome;
+        let req = SearchRequest {
+            route: RouteStrategy::LanRoute { use_cg: false },
+            seed: 3,
+            ..SearchRequest::new(5, 10)
+        };
+        let b = idx.search(&q, &req).outcome;
         assert_eq!(a.results, b.results, "CG changed the search results");
         assert_eq!(a.ndc, b.ndc, "CG changed the NDC");
     }
@@ -174,7 +177,7 @@ fn l2route_baseline_works_and_recall_grows_with_candidates() {
 fn breakdown_is_consistent() {
     let idx = small_index();
     let q = idx.dataset.queries[0].clone();
-    let out = idx.search(&q, 5, 10);
+    let out = idx.search(&q, &SearchRequest::new(5, 10)).outcome;
     assert!(out.gnn_time <= out.total_time);
     assert!(out.distance_time <= out.total_time);
     assert!(

@@ -1,6 +1,5 @@
 //! The learned [`NeighborRanker`] adapter: plugs `M_rk` into `np_route`.
 
-use crate::fused_service::FusedScoreService;
 use crate::models::{LanModels, QueryContext};
 use lan_pg::np_route::NeighborRanker;
 
@@ -24,10 +23,6 @@ pub struct LearnedRanker<'a> {
     /// Stack the whole hop into one fused forward (default) instead of
     /// scoring neighbors one at a time.
     pub batched: bool,
-    /// When set, hop scoring routes through this shard-shared combining
-    /// funnel so co-batched queries fuse into one matmul (serving path;
-    /// bit-identical to the solo batched path).
-    pub shared: Option<&'a FusedScoreService>,
 }
 
 impl<'a> LearnedRanker<'a> {
@@ -37,7 +32,6 @@ impl<'a> LearnedRanker<'a> {
             ctx,
             use_cg,
             batched: true,
-            shared: None,
         }
     }
 
@@ -49,34 +43,13 @@ impl<'a> LearnedRanker<'a> {
             ctx,
             use_cg,
             batched: false,
-            shared: None,
-        }
-    }
-
-    /// A ranker that submits each hop to `svc`, the shard's cross-query
-    /// combining funnel (serving path).
-    pub fn with_shared(
-        models: &'a LanModels,
-        ctx: &'a QueryContext,
-        use_cg: bool,
-        svc: &'a FusedScoreService,
-    ) -> Self {
-        LearnedRanker {
-            models,
-            ctx,
-            use_cg,
-            batched: true,
-            shared: Some(svc),
         }
     }
 }
 
 impl NeighborRanker for LearnedRanker<'_> {
     fn rank(&self, node: u32, neighbors: &[u32], d_node: f64) -> Vec<Vec<u32>> {
-        if let Some(svc) = self.shared {
-            self.models
-                .rank_batches_shared(self.ctx, node, neighbors, d_node, self.use_cg, svc)
-        } else if self.batched {
+        if self.batched {
             self.models
                 .rank_batches(self.ctx, node, neighbors, d_node, self.use_cg)
         } else {

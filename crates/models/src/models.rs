@@ -14,7 +14,6 @@
 //!   frozen encoder (an engineering simplification documented in
 //!   DESIGN.md).
 
-use crate::fused_service::FusedScoreService;
 use crate::kmeans::KMeans;
 use lan_datasets::Dataset;
 use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, Gin, GnnConfig};
@@ -25,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Hyperparameters for model training and inference.
@@ -172,63 +170,6 @@ impl PairSlab {
         self.data[g as usize * self.dim..(g as usize + 1) * self.dim].copy_from_slice(v);
         self.present[g as usize] = true;
     }
-
-    /// Prepares the slab for reuse by another query: every entry is
-    /// marked absent but the backing allocations are kept — the point of
-    /// pooling slabs in a [`SlabArena`].
-    fn recycle(&mut self) {
-        self.present.fill(false);
-    }
-}
-
-/// A reusable pool of per-query [`PairSlab`]s for the serving path.
-///
-/// A cold slab lazily grows to `db_size × pair_dim` floats on its first
-/// `ensure_pairs`; under a serving workload that is a large allocation
-/// per request. Contexts built through
-/// [`LanModels::query_context_pooled`] draw their slab from this arena
-/// instead and return it (recycled, allocations intact) when the context
-/// drops, so steady-state serving allocates no slab memory at all.
-/// Recycling only clears the presence bitmap — stale rows are never
-/// readable because every lookup checks presence first.
-pub struct SlabArena {
-    dim: usize,
-    slabs: Mutex<Vec<PairSlab>>,
-}
-
-impl SlabArena {
-    /// An arena for contexts of `models` (slab rows are pair embeddings,
-    /// so the row width is the cross-encoder's pair dimension).
-    pub fn new(models: &LanModels) -> Self {
-        SlabArena {
-            dim: models.cross.pair_dim(),
-            slabs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Slabs currently parked in the pool (test observability).
-    pub fn pooled(&self) -> usize {
-        self.slabs.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    fn take(&self) -> PairSlab {
-        self.slabs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_else(|| PairSlab::new(self.dim))
-    }
-
-    fn put(&self, mut slab: PairSlab) {
-        if slab.dim != self.dim {
-            return;
-        }
-        slab.recycle();
-        self.slabs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(slab);
-    }
 }
 
 thread_local! {
@@ -326,25 +267,12 @@ pub struct QueryContext {
     /// exists, hits or not).
     hit: &'static Counter,
     miss: &'static Counter,
-    /// When the context was built through
-    /// [`LanModels::query_context_pooled`], the arena its slab returns to
-    /// on drop.
-    arena: Option<Arc<SlabArena>>,
 }
 
 impl QueryContext {
     /// Wall-clock spent in GNN inference through this context so far.
     pub fn gnn_time(&self) -> Duration {
         self.gnn_timer.total()
-    }
-}
-
-impl Drop for QueryContext {
-    fn drop(&mut self) {
-        if let Some(arena) = self.arena.take() {
-            let slab = std::mem::replace(&mut *self.pair_cache.borrow_mut(), PairSlab::new(0));
-            arena.put(slab);
-        }
     }
 }
 
@@ -576,25 +504,7 @@ impl LanModels {
             gnn_timer,
             hit: lan_obs::counter(names::GNN_INFER_CACHE_HIT),
             miss: lan_obs::counter(names::GNN_INFER_CACHE_MISS),
-            arena: None,
         }
-    }
-
-    /// [`LanModels::query_context`] drawing the pair slab from `arena`
-    /// instead of allocating a fresh one; the slab returns to the arena
-    /// (recycled) when the context drops. The serving path builds one
-    /// context per request through this, so steady-state traffic reuses a
-    /// bounded set of slabs.
-    pub fn query_context_pooled(
-        &self,
-        q: &Graph,
-        use_cg: bool,
-        arena: &Arc<SlabArena>,
-    ) -> QueryContext {
-        let mut ctx = self.query_context(q, use_cg);
-        *ctx.pair_cache.borrow_mut() = arena.take();
-        ctx.arena = Some(Arc::clone(arena));
-        ctx
     }
 
     /// Fills the per-query cache for every id in `ids` (tape-free forwards
@@ -830,57 +740,6 @@ impl LanModels {
                 }
             })
         });
-        sort_scored_desc(&mut scored);
-        let ranked: Vec<u32> = scored.into_iter().map(|(_, nb)| nb).collect();
-        lan_pg::np_route::chunk_batches(ranked, self.cfg.batch_pct)
-    }
-
-    /// [`LanModels::rank_batches`] routed through a shard-shared
-    /// [`FusedScoreService`]: the hop's stacked feature rows are submitted
-    /// to the combining funnel, which may fuse them with co-batched
-    /// queries' rows into one `FusedHeads` matmul. Scores, ordering, and
-    /// the resulting batches are bit-identical to `rank_batches` (the
-    /// funnel preserves row order and uses the same per-row reduction).
-    pub fn rank_batches_shared(
-        &self,
-        ctx: &QueryContext,
-        node: u32,
-        neighbors: &[u32],
-        d_node: f64,
-        use_cg: bool,
-        svc: &FusedScoreService,
-    ) -> Vec<Vec<u32>> {
-        if neighbors.is_empty() {
-            return Vec::new();
-        }
-        if d_node > self.gamma_star {
-            return vec![neighbors.to_vec()];
-        }
-        let _s = span("gnn.rank");
-        self.ensure_pairs(ctx, neighbors, use_cg);
-        let slab = ctx.pair_cache.borrow();
-        let h_g = &self.db_embeds[node as usize];
-        let dim = rk_feature_dim(self.cfg.embed_dim);
-        let feats = ctx.gnn_timer.time(|| {
-            let mut feats = vec![0.0f32; neighbors.len() * dim];
-            for (i, &nb) in neighbors.iter().enumerate() {
-                rk_feature_into(
-                    &mut feats[i * dim..(i + 1) * dim],
-                    slab.row(nb),
-                    h_g,
-                    &ctx.gin_embed,
-                    &self.db_embeds[nb as usize],
-                );
-            }
-            feats
-        });
-        drop(slab);
-        // The funnel blocks while sibling queries' rows ride along; only
-        // the feature build above counts toward this query's GNN time (the
-        // shared matmul's cost is not attributable to one query).
-        let scores = svc.score(&self.rk_fused, dim, feats);
-        let mut scored: Vec<(f32, u32)> =
-            scores.into_iter().zip(neighbors.iter().copied()).collect();
         sort_scored_desc(&mut scored);
         let ranked: Vec<u32> = scored.into_iter().map(|(_, nb)| nb).collect();
         lan_pg::np_route::chunk_batches(ranked, self.cfg.batch_pct)

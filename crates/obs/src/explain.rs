@@ -26,9 +26,10 @@
 //!
 //! # Emission
 //!
-//! `LAN_EXPLAIN=1` makes `search_with_budget` collect a plan per query
-//! and push its JSON line into a bounded ring buffer (mirroring the
-//! routing trace); benches drain it to `results/explain_<bench>.jsonl`.
+//! `LAN_EXPLAIN=1` makes every top-level search collect a plan per query
+//! that did not ask for its own, and push its JSON line into a bounded
+//! ring buffer (mirroring the routing trace); benches drain it to
+//! `results/explain_<bench>.jsonl`.
 //! When the variable is unset the only cost on the query path is one
 //! relaxed atomic load.
 

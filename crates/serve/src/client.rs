@@ -1,38 +1,11 @@
 //! A minimal blocking client for the length-prefixed protocol — used by
 //! the load-generator bench, the equivalence tests, and the CI smoke job.
 
-use crate::proto::{parse_response, read_frame, render_search_request, write_frame, Response};
-use lan_graph::Graph;
+use crate::proto::{
+    parse_response, read_frame, render_search_request, write_frame, Response, SearchCall,
+};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-
-/// One search call's parameters.
-pub struct SearchCall<'a> {
-    pub tenant: &'a str,
-    pub k: usize,
-    pub b: usize,
-    pub seed: u64,
-    pub graph: &'a Graph,
-    pub explain: bool,
-    pub deadline_ms: Option<u64>,
-    pub max_ndc: Option<u64>,
-}
-
-impl<'a> SearchCall<'a> {
-    /// A plain unbudgeted call for `graph` under the default tenant.
-    pub fn new(graph: &'a Graph, k: usize, b: usize, seed: u64) -> Self {
-        SearchCall {
-            tenant: "default",
-            k,
-            b,
-            seed,
-            graph,
-            explain: false,
-            deadline_ms: None,
-            max_ndc: None,
-        }
-    }
-}
 
 /// A blocking connection to a LAN server.
 pub struct Client {
@@ -58,17 +31,7 @@ impl Client {
     /// One k-ANN query; returns the typed response (ok / overloaded /
     /// error).
     pub fn search(&mut self, call: &SearchCall<'_>) -> io::Result<Response> {
-        let payload = render_search_request(
-            call.tenant,
-            call.k,
-            call.b,
-            call.seed,
-            call.graph,
-            call.explain,
-            call.deadline_ms,
-            call.max_ndc,
-        );
-        self.round_trip(&payload)
+        self.round_trip(&render_search_request(call))
     }
 
     /// Health check.

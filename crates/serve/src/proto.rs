@@ -208,19 +208,47 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
     }
 }
 
+/// One search call's parameters.
+pub struct SearchCall<'a> {
+    pub tenant: &'a str,
+    pub k: usize,
+    pub b: usize,
+    pub seed: u64,
+    pub graph: &'a Graph,
+    pub explain: bool,
+    pub deadline_ms: Option<u64>,
+    pub max_ndc: Option<u64>,
+}
+
+impl<'a> SearchCall<'a> {
+    /// A plain unbudgeted call for `graph` under the default tenant.
+    pub fn new(graph: &'a Graph, k: usize, b: usize, seed: u64) -> Self {
+        SearchCall {
+            tenant: "default",
+            k,
+            b,
+            seed,
+            graph,
+            explain: false,
+            deadline_ms: None,
+            max_ndc: None,
+        }
+    }
+}
+
 /// Client-side request rendering (the exact shape [`parse_request`]
 /// accepts).
-#[allow(clippy::too_many_arguments)]
-pub fn render_search_request(
-    tenant: &str,
-    k: usize,
-    b: usize,
-    seed: u64,
-    graph: &Graph,
-    explain: bool,
-    deadline_ms: Option<u64>,
-    max_ndc: Option<u64>,
-) -> String {
+pub fn render_search_request(call: &SearchCall<'_>) -> String {
+    let SearchCall {
+        tenant,
+        k,
+        b,
+        seed,
+        graph,
+        explain,
+        deadline_ms,
+        max_ndc,
+    } = *call;
     let labels: Vec<String> = graph.labels().iter().map(|l| l.to_string()).collect();
     let edges: Vec<String> = graph.edges().map(|(u, v)| format!("[{u},{v}]")).collect();
     let mut req = format!(
@@ -375,7 +403,13 @@ mod tests {
     #[test]
     fn search_request_round_trip() {
         let g = Graph::from_edges(vec![0, 1, 1], &[(0, 1), (1, 2)]).unwrap();
-        let payload = render_search_request("acme", 5, 16, 42, &g, true, Some(50), Some(1000));
+        let payload = render_search_request(&SearchCall {
+            tenant: "acme",
+            explain: true,
+            deadline_ms: Some(50),
+            max_ndc: Some(1000),
+            ..SearchCall::new(&g, 5, 16, 42)
+        });
         let req = parse_request(&payload).unwrap();
         let Request::Search(sr) = req else {
             panic!("expected search")

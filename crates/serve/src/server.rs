@@ -10,14 +10,13 @@
 //! each worker pops up to `LAN_SERVE_BATCH` queued queries (holding the
 //! first for `LAN_SERVE_BATCH_WAIT_US` to let co-batchable arrivals
 //! land), then executes the micro-batch concurrently via
-//! `lan_par::par_map_dyn`. Co-batched queries share the shard's
-//! [`FusedScoreService`] — their hop-scoring feature rows stack into
-//! single `FusedHeads` matmuls — and draw their pair slabs from the
-//! shard's [`SlabArena`], so steady-state traffic allocates no slab
-//! memory. Each query keeps its own `BudgetCtx` and per-shard
-//! `DistCache` exactly as in the serial fan-out, which is what makes
-//! results bit-identical to [`ShardedLanIndex::search_budgeted`]
-//! (property-tested in `tests/equivalence.rs`).
+//! `lan_par::par_map_dyn`, one [`ShardedLanIndex::search_shard`] per
+//! query. Each query keeps its own `BudgetCtx` and per-shard `DistCache`
+//! exactly as in the in-process fan-out, and the answering connection
+//! merges the shard answers with [`ShardedLanIndex::merge`] — the same
+//! merge as [`ShardedLanIndex::search`], so results are bit-identical to
+//! it (property-tested in `tests/equivalence.rs`) and the EXPLAIN plan is
+//! assembled, and with `LAN_EXPLAIN` on emitted, once per query.
 //!
 //! # Degradation tiers
 //!
@@ -37,12 +36,10 @@
 use crate::admission::Admission;
 use crate::config::ServeConfig;
 use crate::proto::{
-    parse_request, render_error, render_ok, render_overloaded, write_frame, Request, SearchRequest,
+    parse_request, render_error, render_ok, render_overloaded, write_frame, Request,
 };
-use lan_core::sharded::merged_explain;
-use lan_core::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared, ShardedLanIndex};
-use lan_models::{FusedScoreService, SlabArena};
-use lan_obs::explain::{QueryExplain, TimelineEvent};
+use lan_core::{SearchRequest, SearchResponse, ShardedLanIndex};
+use lan_graph::Graph;
 use lan_obs::names;
 use lan_pg::budget::BudgetCtx;
 use std::collections::VecDeque;
@@ -52,12 +49,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Serving queries answer with the full LAN pipeline (learned initial
-/// selection + learned routing with CG acceleration) — the paper's
-/// deployed configuration.
-const INIT: InitStrategy = InitStrategy::LanIs;
-const ROUTE: RouteStrategy = RouteStrategy::LanRoute { use_cg: true };
 
 /// GED deadline-poll stride under serve mode: 4x tighter than the
 /// offline default of 256, bounding a budgeted kernel's deadline
@@ -70,7 +61,8 @@ const READ_TICK: Duration = Duration::from_millis(100);
 
 enum Slot {
     Pending,
-    Done(Box<(QueryOutcome, Option<QueryExplain>)>),
+    /// The shard's answer and its finish offset from the query's arrival.
+    Done(Box<(SearchResponse, Duration)>),
     Shed,
 }
 
@@ -81,6 +73,7 @@ struct JobState {
 
 /// One admitted query in flight across the shard workers.
 struct QueryJob {
+    graph: Graph,
     req: SearchRequest,
     ctx: BudgetCtx,
     t0: Instant,
@@ -93,11 +86,21 @@ struct QueryJob {
 }
 
 impl QueryJob {
-    fn new(req: SearchRequest, num_shards: usize) -> Self {
+    /// Serving queries answer with the full LAN pipeline (learned initial
+    /// selection + learned routing with CG acceleration) — the paper's
+    /// deployed configuration and [`SearchRequest::new`]'s default.
+    fn new(wire: crate::proto::SearchRequest, num_shards: usize) -> Self {
+        let req = SearchRequest {
+            seed: wire.seed,
+            budget: wire.budget,
+            explain: wire.explain,
+            ..SearchRequest::new(wire.k, wire.b)
+        };
         let ctx = BudgetCtx::new(&req.budget);
         let t0 = Instant::now();
         let abs_deadline = req.budget.deadline.map(|d| t0 + d);
         QueryJob {
+            graph: wire.graph,
             req,
             ctx,
             t0,
@@ -150,8 +153,6 @@ struct ServerInner {
     index: Arc<ShardedLanIndex>,
     cfg: ServeConfig,
     queues: Vec<ShardQueue>,
-    scorers: Vec<FusedScoreService>,
-    arenas: Vec<Arc<SlabArena>>,
     admission: Arc<Admission>,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -235,12 +236,6 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
                 cv: Condvar::new(),
             })
             .collect(),
-        scorers: (0..num_shards).map(|_| FusedScoreService::new()).collect(),
-        arenas: index
-            .shards
-            .iter()
-            .map(|sh| Arc::new(SlabArena::new(&sh.models)))
-            .collect(),
         admission: Admission::new(cfg.max_inflight),
         shutdown: AtomicBool::new(false),
         addr,
@@ -297,8 +292,7 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
 }
 
 /// One shard's micro-batching loop: pop → wait for co-batchable arrivals
-/// → shed expired → execute the batch concurrently over the shared
-/// scorer and arena.
+/// → shed expired → execute the batch concurrently.
 fn shard_worker(s: usize, inner: &Arc<ServerInner>) {
     loop {
         let mut batch: Vec<Arc<QueryJob>> = Vec::new();
@@ -355,27 +349,13 @@ fn shard_worker(s: usize, inner: &Arc<ServerInner>) {
         if run.is_empty() {
             continue;
         }
-        let shared = SearchShared {
-            scorer: &inner.scorers[s],
-            arena: &inner.arenas[s],
-        };
-        let outs: Vec<(QueryOutcome, Option<QueryExplain>)> =
+        let answers: Vec<(SearchResponse, Duration)> =
             lan_par::par_map_dyn(&run, lan_par::Grain::Fine, |job| {
-                let r = &job.req;
-                if r.explain {
-                    let (out, ex) = inner.index.shard_search_explain_budgeted_shared(
-                        s, &r.graph, r.k, r.b, INIT, ROUTE, r.seed, &job.ctx, &shared,
-                    );
-                    (out, Some(ex))
-                } else {
-                    let out = inner.index.shard_search_budgeted_shared(
-                        s, &r.graph, r.k, r.b, INIT, ROUTE, r.seed, &job.ctx, &shared,
-                    );
-                    (out, None)
-                }
+                let resp = inner.index.search_shard(s, &job.graph, &job.req, &job.ctx);
+                (resp, job.t0.elapsed())
             });
-        for (job, (out, ex)) in run.iter().zip(outs) {
-            job.complete(s, Slot::Done(Box::new((out, ex))));
+        for (job, answer) in run.iter().zip(answers) {
+            job.complete(s, Slot::Done(Box::new(answer)));
         }
     }
 }
@@ -483,7 +463,7 @@ fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
 }
 
 /// Admission → enqueue on every shard → wait → merge (or typed shed).
-fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
+fn handle_search(inner: &Arc<ServerInner>, req: crate::proto::SearchRequest) -> String {
     inner.metrics.requests.inc();
     let _token = match inner.admission.try_admit(&req.tenant) {
         Ok(t) => t,
@@ -492,7 +472,6 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
             return render_overloaded(&e.to_string());
         }
     };
-    let (k, b, explain) = (req.k, req.b, req.explain);
     let job = Arc::new(QueryJob::new(req, inner.index.num_shards()));
     for sq in &inner.queues {
         sq.q.lock()
@@ -509,51 +488,19 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
         inner.metrics.shed.inc();
         return render_overloaded("deadline passed before execution");
     }
-    let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(slots.len());
-    let mut plans: Vec<QueryExplain> = Vec::with_capacity(if explain { slots.len() } else { 0 });
-    for slot in slots {
-        match slot {
-            Slot::Done(done) => {
-                let (out, ex) = *done;
-                per_shard.push(out);
-                if let Some(ex) = ex {
-                    plans.push(ex);
-                }
-            }
+    let answers: Vec<(SearchResponse, Duration)> = slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Done(answer) => *answer,
             Slot::Pending | Slot::Shed => unreachable!("unshed jobs complete every shard"),
-        }
-    }
-    let merged = inner
-        .index
-        .merge_shard_outcomes(per_shard, k, job.t0, job.ctx.termination());
-    let explain_json = explain.then(|| {
-        let mut timeline: Vec<TimelineEvent> = Vec::with_capacity(plans.len());
-        let mut ndc_so_far = 0u64;
-        for (s, p) in plans.iter().enumerate() {
-            ndc_so_far += p.ndc;
-            timeline.push(TimelineEvent {
-                stage: format!("shard.{s}"),
-                ndc: ndc_so_far,
-                elapsed_ns: job.t0.elapsed().as_nanos() as u64,
-            });
-        }
-        let ex = merged_explain(
-            &merged,
-            k,
-            b,
-            INIT,
-            ROUTE,
-            job.req.seed,
-            &job.ctx,
-            plans,
-            timeline,
-        );
-        ex.to_json()
-    });
+        })
+        .collect();
+    let merged = inner.index.merge(&job.req, &job.ctx, job.t0, answers);
+    let out = &merged.outcome;
     render_ok(
-        &merged.results,
-        merged.ndc as u64,
-        merged.termination.as_str(),
-        explain_json.as_deref(),
+        &out.results,
+        out.ndc as u64,
+        out.termination.as_str(),
+        merged.explain.map(|ex| ex.to_json()).as_deref(),
     )
 }

@@ -1,19 +1,17 @@
 //! Over-the-wire half of the serving equivalence contract: a booted
 //! server answering concurrent TCP clients must return results, NDC,
 //! termination, and EXPLAIN tier attribution **bit-identical** to the
-//! serial [`ShardedLanIndex::search_budgeted`] /
-//! [`ShardedLanIndex::search_explain_budgeted`] entry points — protocol
-//! encoding, micro-batching, the cross-query funnel, and slab pooling
-//! all included. (The in-process half lives in
-//! `lan-core/tests/shared_equivalence.rs`.)
+//! in-process sequential [`ShardedLanIndex::search`] — protocol encoding
+//! and micro-batching included. (The in-process half — the serving
+//! shape of per-shard calls plus merge — runs in `lan-core`'s
+//! table-driven equivalence suites.)
 //!
 //! Also covered here: the typed `overloaded` degradation path, ping,
 //! the `/metrics` scrape on the query port, and clean shutdown.
 
-use lan_core::{InitStrategy, LanConfig, QueryOutcome, RouteStrategy, ShardedLanIndex};
+use lan_core::{Fanout, LanConfig, QueryOutcome, SearchRequest, ShardedLanIndex};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_obs::json::Value;
-use lan_pg::budget::QueryBudget;
 use lan_serve::{serve, Client, Response, SearchCall, ServeConfig, ServerHandle};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -63,15 +61,16 @@ fn boot(batch: usize, wait: Duration, max_inflight: usize) -> ServerHandle {
 
 fn serial(seed: u64, k: usize, b: usize) -> QueryOutcome {
     let ds = dataset();
-    fixture().search_budgeted(
-        &ds.queries[(seed % 10) as usize],
-        k,
-        b,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-        seed,
-        &QueryBudget::unlimited(),
-    )
+    fixture()
+        .search(
+            &ds.queries[(seed % 10) as usize],
+            &SearchRequest {
+                seed,
+                ..SearchRequest::new(k, b)
+            },
+            Fanout::Seq,
+        )
+        .outcome
 }
 
 fn result_bits(results: &[(f64, u32)]) -> Vec<(u64, u32)> {
@@ -143,15 +142,13 @@ fn explain_attribution_crosses_the_wire() {
     let mut client = Client::connect(handle.addr()).unwrap();
     for seed in 0..4u64 {
         let q = &ds.queries[(seed % 10) as usize];
-        let (serial_out, serial_ex) = sharded.search_explain_budgeted(
-            q,
-            5,
-            8,
-            InitStrategy::LanIs,
-            RouteStrategy::LanRoute { use_cg: true },
+        let req = SearchRequest {
             seed,
-            &QueryBudget::unlimited(),
-        );
+            explain: true,
+            ..SearchRequest::new(5, 8)
+        };
+        let serial = sharded.search(q, &req, Fanout::Seq);
+        let (serial_out, serial_ex) = (serial.outcome, serial.explain.expect("plan requested"));
         let mut call = SearchCall::new(q, 5, 8, seed);
         call.explain = true;
         let Response::Ok(ok) = client.search(&call).unwrap() else {

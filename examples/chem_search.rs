@@ -10,7 +10,7 @@
 //! cargo run --release --example chem_search
 //! ```
 
-use lan_core::{LanConfig, LanIndex};
+use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_graph::{perturb::perturb, Graph};
 use lan_models::ModelConfig;
@@ -57,7 +57,7 @@ fn main() {
     );
 
     let k = 5;
-    let out = index.search(&candidate, k, 16);
+    let out = index.search(&candidate, &SearchRequest::new(k, 16)).outcome;
     println!("\nLAN: {k} most similar compounds (GED, id):");
     for &(d, id) in &out.results {
         let g = &index.dataset.graphs[id as usize];
@@ -82,7 +82,12 @@ fn main() {
     println!("query's source compound found or matched: {hit}");
 
     // Compare against the exhaustive-routing baseline (same index).
-    let hnsw = index.search_hnsw(&candidate, k, 16);
+    let baseline = SearchRequest {
+        init: InitStrategy::HnswIs,
+        route: RouteStrategy::HnswRoute,
+        ..SearchRequest::new(k, 16)
+    };
+    let hnsw = index.search(&candidate, &baseline).outcome;
     println!(
         "baseline (exhaustive routing): same top distance = {}, NDC = {} ({:+.0}% vs LAN)",
         hnsw.results[0].0,

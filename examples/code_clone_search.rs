@@ -7,7 +7,7 @@
 //! cargo run --release --example code_clone_search
 //! ```
 
-use lan_core::{LanConfig, LanIndex};
+use lan_core::{LanConfig, LanIndex, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_graph::perturb::perturb;
 use lan_models::ModelConfig;
@@ -57,7 +57,9 @@ fn main() {
         edits
     );
 
-    let out = index.search(&suspicious, 5, 16);
+    let out = index
+        .search(&suspicious, &SearchRequest::new(5, 16))
+        .outcome;
     println!("\ntop-5 most similar functions in the corpus:");
     // The operational metric is an approximate (upper-bound) GED, so a
     // deployed detector calibrates its threshold on corpus statistics; a

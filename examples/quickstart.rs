@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lan_core::{LanConfig, LanIndex};
+use lan_core::{LanConfig, LanIndex, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_pg::PgConfig;
@@ -49,7 +49,7 @@ fn main() {
     // 3. Query: the 10 approximate nearest neighbors of a test query.
     let qi = index.dataset.split.test[0];
     let query = index.dataset.queries[qi].clone();
-    let out = index.search(&query, 10, 20);
+    let out = index.search(&query, &SearchRequest::new(10, 20)).outcome;
     println!("\nLAN top-10 (distance, graph id): {:?}", out.results);
     println!(
         "NDC = {} (vs {} for a full scan); query time {:.1} ms ({:.0}% GED, {:.0}% GNN)",

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full LAN pipeline through the public API of
 //! the umbrella crate.
 
-use lan_suite::core::{InitStrategy, L2RouteIndex, LanConfig, LanIndex, RouteStrategy};
+use lan_suite::core::{InitStrategy, L2RouteIndex, LanConfig, LanIndex, SearchRequest};
 use lan_suite::datasets::{Dataset, DatasetSpec};
 use lan_suite::ged::GedMethod;
 use lan_suite::models::ModelConfig;
@@ -42,7 +42,7 @@ fn full_pipeline_produces_quality_results() {
     let qs = &index.dataset.split.test;
     for &qi in qs {
         let q = index.dataset.queries[qi].clone();
-        let out = index.search(&q, k, 12);
+        let out = index.search(&q, &SearchRequest::new(k, 12)).outcome;
         assert_eq!(out.results.len(), k);
         let truth = index.dataset.ground_truth_knn(&q, k);
         let kth = truth.last().unwrap().0;
@@ -63,7 +63,7 @@ fn queries_from_outside_the_workload_work() {
         &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
     )
     .unwrap();
-    let out = index.search(&g, 3, 8);
+    let out = index.search(&g, &SearchRequest::new(3, 8)).outcome;
     assert_eq!(out.results.len(), 3);
     assert!(out.results[0].0 >= 0.0);
 }
@@ -82,7 +82,12 @@ fn l2route_and_strategies_compose() {
         InitStrategy::HnswIs,
         InitStrategy::RandIs,
     ] {
-        let out = index.search_with(&q, 3, 8, init, RouteStrategy::LanRoute { use_cg: true }, 1);
+        let req = SearchRequest {
+            init,
+            seed: 1,
+            ..SearchRequest::new(3, 8)
+        };
+        let out = index.search(&q, &req).outcome;
         assert_eq!(out.results.len(), 3);
     }
 }
@@ -92,22 +97,12 @@ fn deterministic_given_seed() {
     let i1 = build();
     let i2 = build();
     let q = i1.dataset.queries[2].clone();
-    let a = i1.search_with(
-        &q,
-        4,
-        10,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-        9,
-    );
-    let b = i2.search_with(
-        &q,
-        4,
-        10,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-        9,
-    );
+    let req = SearchRequest {
+        seed: 9,
+        ..SearchRequest::new(4, 10)
+    };
+    let a = i1.search(&q, &req).outcome;
+    let b = i2.search(&q, &req).outcome;
     assert_eq!(a.results, b.results);
     assert_eq!(a.ndc, b.ndc);
 }
