@@ -8,7 +8,7 @@
 
 use crate::dataset::{Dataset, WorkloadSplit};
 use crate::spec::{DatasetSpec, Family};
-use lan_ged::GedMethod;
+use lan_ged::{GedMethod, MAX_BEAM_WIDTH};
 use lan_graph::Graph;
 use lan_store::{Dec, Enc, StoreError};
 
@@ -55,13 +55,25 @@ fn decode_metric(dec: &mut Dec<'_>) -> Result<GedMethod, StoreError> {
         1 => Ok(GedMethod::Hungarian),
         2 => Ok(GedMethod::Vj),
         3 => Ok(GedMethod::Beam {
-            width: payload as usize,
+            width: decode_beam_width(payload)?,
         }),
         4 => Ok(GedMethod::BestOfThree {
-            beam_width: payload as usize,
+            beam_width: decode_beam_width(payload)?,
         }),
         t => Err(StoreError::corrupt(format!("unknown GED method tag {t}"))),
     }
+}
+
+/// A persisted beam width must be in `1..=MAX_BEAM_WIDTH`: zero would trip
+/// the beam's `width >= 1` assertion on the first query, and an unbounded
+/// width means an unbounded per-depth frontier.
+fn decode_beam_width(payload: u64) -> Result<usize, StoreError> {
+    usize::try_from(payload)
+        .ok()
+        .filter(|w| (1..=MAX_BEAM_WIDTH).contains(w))
+        .ok_or_else(|| {
+            StoreError::corrupt(format!("beam width {payload} outside 1..={MAX_BEAM_WIDTH}"))
+        })
 }
 
 /// Resolves a decoded dataset name back to `&'static str`. Preset names
@@ -230,6 +242,36 @@ mod tests {
             GedMethod::Vj,
             GedMethod::Beam { width: 7 },
             GedMethod::BestOfThree { beam_width: 16 },
+        ] {
+            let mut enc = Enc::new();
+            encode_metric(&m, &mut enc);
+            let a = round_trip_bytes(enc);
+            let mut dec = a.section("ds").unwrap();
+            assert_eq!(decode_metric(&mut dec).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn out_of_range_beam_widths_are_typed() {
+        let too_wide = MAX_BEAM_WIDTH as u64 + 1;
+        for tag in [3u8, 4] {
+            for payload in [0, too_wide, u64::MAX] {
+                let mut enc = Enc::new();
+                enc.put_u8(tag);
+                enc.put_u64(payload);
+                let a = round_trip_bytes(enc);
+                let mut dec = a.section("ds").unwrap();
+                assert!(
+                    matches!(decode_metric(&mut dec), Err(StoreError::Corrupt { .. })),
+                    "tag {tag} width {payload} accepted"
+                );
+            }
+        }
+        for m in [
+            GedMethod::Beam { width: 1 },
+            GedMethod::BestOfThree {
+                beam_width: MAX_BEAM_WIDTH,
+            },
         ] {
             let mut enc = Enc::new();
             encode_metric(&m, &mut enc);

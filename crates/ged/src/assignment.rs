@@ -19,6 +19,15 @@
 //! allocating path starts from, so the two forms are bit-identical; routing
 //! calls them thousands of times per query through the per-thread
 //! [`crate::scratch::GedScratch`].
+//!
+//! The O(n) inner loops (Hungarian's reduced-cost scan and potential
+//! update, LAPJV's two-minimum search, nearest-column search and
+//! relaxation) walk the cost row `c.row(i)` zipped with the working-array
+//! slices instead of indexing cell by cell, so they carry no per-element
+//! bounds checks. Each keeps the reference arithmetic order — `c − u[i0] −
+//! v[j]` in Hungarian, `dmin + c[i][j] − v[j] − (c[i][jmin] − v[jmin])` in
+//! LAPJV with the last term hoisted out of the loop — so the results are
+//! bit-identical to the index-based formulation.
 
 /// A square cost matrix stored row-major.
 #[derive(Debug, Clone)]
@@ -71,6 +80,12 @@ impl CostMatrix {
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.n..(i + 1) * self.n]
+    }
+
+    /// Row `i` as a mutable slice.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.data[i * self.n..(i + 1) * self.n]
     }
 }
 
@@ -153,27 +168,36 @@ pub fn hungarian_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
         loop {
             s.used[j0] = true;
             let i0 = s.p[j0];
+            let ui0 = s.u[i0];
             let mut delta = INF;
             let mut j1 = 0usize;
-            for j in 1..=n {
-                if !s.used[j] {
-                    let cur = c.get(i0 - 1, j - 1) - s.u[i0] - s.v[j];
-                    if cur < s.minv[j] {
-                        s.minv[j] = cur;
-                        s.way[j] = j0;
+            // Columns 1..=n, walked as slices alongside row i0 - 1 of `c`.
+            let cols = c
+                .row(i0 - 1)
+                .iter()
+                .zip(&s.used[1..])
+                .zip(&s.v[1..])
+                .zip(s.minv[1..].iter_mut().zip(&mut s.way[1..]));
+            for (j, (((&cij, &used), &vj), (minv, way))) in cols.enumerate() {
+                if !used {
+                    let cur = cij - ui0 - vj;
+                    if cur < *minv {
+                        *minv = cur;
+                        *way = j0;
                     }
-                    if s.minv[j] < delta {
-                        delta = s.minv[j];
-                        j1 = j;
+                    if *minv < delta {
+                        delta = *minv;
+                        j1 = j + 1;
                     }
                 }
             }
-            for j in 0..=n {
-                if s.used[j] {
-                    s.u[s.p[j]] += delta;
-                    s.v[j] -= delta;
+            let cols = s.used.iter().zip(&s.p).zip(&mut s.v).zip(&mut s.minv);
+            for (((&used, &pj), vj), minv) in cols {
+                if used {
+                    s.u[pj] += delta;
+                    *vj -= delta;
                 } else {
-                    s.minv[j] -= delta;
+                    *minv -= delta;
                 }
             }
             j0 = j1;
@@ -256,12 +280,13 @@ pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
             let i = s.free[k];
             k += 1;
             // Find the two smallest reduced costs in row i.
-            let mut u1 = c.get(i, 0) - s.vv[0];
+            let row = c.row(i);
+            let mut u1 = row[0] - s.vv[0];
             let mut u2 = INF;
             let mut j1 = 0usize;
             let mut j2 = usize::MAX;
-            for (j, &vj) in s.vv.iter().enumerate().skip(1) {
-                let h = c.get(i, j) - vj;
+            for (j, (&cij, &vj)) in row.iter().zip(&s.vv).enumerate().skip(1) {
+                let h = cij - vj;
                 if h < u2 {
                     if h < u1 {
                         u2 = u1;
@@ -306,7 +331,7 @@ pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
     for fi in 0..s.free.len() {
         let f = s.free[fi];
         s.d.clear();
-        s.d.extend((0..n).map(|j| c.get(f, j) - s.vv[j]));
+        s.d.extend(c.row(f).iter().zip(&s.vv).map(|(&cfj, &vj)| cfj - vj));
         refill(&mut s.pred, n, f);
         refill(&mut s.done, n, false);
         s.ready.clear();
@@ -315,9 +340,9 @@ pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
             // Find nearest unscanned column.
             let mut jmin = usize::MAX;
             let mut dmin = INF;
-            for j in 0..n {
-                if !s.done[j] && s.d[j] < dmin {
-                    dmin = s.d[j];
+            for (j, (&done, &dj)) in s.done.iter().zip(&s.d).enumerate() {
+                if !done && dj < dmin {
+                    dmin = dj;
                     jmin = j;
                 }
             }
@@ -334,14 +359,23 @@ pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
                 }
                 break;
             }
-            // Relax through the row matched to jmin.
+            // Relax through the row matched to jmin. The reduced cost of
+            // (i, jmin) is loop-invariant; it is still subtracted last, as
+            // in `dmin + c[i][j] - v[j] - (c[i][jmin] - v[jmin])`.
             let i = s.y[jmin];
-            for j in 0..n {
-                if !s.done[j] {
-                    let nd = dmin + c.get(i, j) - s.vv[j] - (c.get(i, jmin) - s.vv[jmin]);
-                    if nd < s.d[j] {
-                        s.d[j] = nd;
-                        s.pred[j] = i;
+            let row = c.row(i);
+            let hmin = row[jmin] - s.vv[jmin];
+            let cols = row
+                .iter()
+                .zip(&s.vv)
+                .zip(&s.done)
+                .zip(s.d.iter_mut().zip(&mut s.pred));
+            for (((&cij, &vj), &done), (dj, pred)) in cols {
+                if !done {
+                    let nd = dmin + cij - vj - hmin;
+                    if nd < *dj {
+                        *dj = nd;
+                        *pred = i;
                     }
                 }
             }

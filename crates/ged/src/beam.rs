@@ -7,17 +7,37 @@
 //! returned; its cost is the exact cost of a valid edit path, hence an upper
 //! bound on true GED. With `width = ∞` this degenerates to breadth-first
 //! exact search; with `width = 1` it is a greedy matcher.
+//!
+//! Expansion is lazy. Each depth scores every child of every surviving
+//! partial as a small `Candidate` — `(f, g, parent, v)`, no mapping of its
+//! own — and only the `width` survivors of the stable sort on `f`
+//! (`total_cmp`) are materialized into the next frontier. The frontier is
+//! stored as flat rows (mappings, `used` masks, costs) double-buffered
+//! across depths, so a call allocates a fixed handful of buffers instead of
+//! two vectors per child. A child's edge cost reads a per-depth row of the
+//! `g1` edges from `u` to earlier nodes and a dense `g2` adjacency built
+//! once per call. All costs are integer counts, so the scores, the survivor
+//! order (ties keep generation order: parent, then `v` ascending, then ε)
+//! and the returned mapping match a per-child materializing expansion
+//! exactly.
 
 use crate::lower_bounds::masked_label_multiset_lb;
 use crate::mapping::{mapping_cost, NodeMapping, EPS};
 use lan_graph::{Graph, Label, NodeId};
 
-#[derive(Clone)]
-struct Partial {
-    map: Vec<NodeId>,
-    used: Vec<bool>,
-    g: f64,
+/// Largest beam width a [`crate::GedMethod`] may carry when it is decoded
+/// from untrusted input (a store file). One depth scores up to
+/// `width · (n2 + 1)` children, so the bound keeps that list linear in the
+/// graph size. The dataset presets use widths 4 and 16.
+pub const MAX_BEAM_WIDTH: usize = 1 << 12;
+
+/// A scored child of frontier row `parent`: `u -> v` (`v == EPS` deletes
+/// `u`).
+struct Candidate {
     f: f64,
+    g: f64,
+    parent: usize,
+    v: NodeId,
 }
 
 /// Beam-search approximate GED with the given beam width, returning the
@@ -40,7 +60,7 @@ pub fn beam_ged_with_mapping(g1: &Graph, g2: &Graph, width: usize) -> (f64, Node
 
     // Allocation-free heuristic inputs (same scheme as `crate::exact`):
     // sorted label suffixes of g1, and g2's nodes sorted by label so each
-    // partial's remaining multiset streams through its `used` mask. The
+    // child's remaining multiset streams through its `used` mask. The
     // values are identical to the allocating label-multiset oracle.
     let suffixes: Vec<Vec<Label>> = (0..=n1)
         .map(|i| {
@@ -56,73 +76,99 @@ pub fn beam_ged_with_mapping(g1: &Graph, g2: &Graph, width: usize) -> (f64, Node
         .map(|(v, &l)| (l, v as NodeId))
         .collect();
     g2_sorted.sort_unstable();
-    let heuristic = |p: &Partial| -> f64 {
-        masked_label_multiset_lb(&suffixes[p.map.len()], &g2_sorted, |v| p.used[v as usize])
-    };
-
-    let mut frontier = vec![Partial {
-        map: Vec::new(),
-        used: vec![false; n2],
-        g: 0.0,
-        f: 0.0,
-    }];
-    for i in 0..n1 {
-        let u = i as NodeId;
-        let mut next: Vec<Partial> = Vec::with_capacity(frontier.len() * (n2 + 1));
-        for p in &frontier {
-            // u -> v for each unused v.
-            for v in 0..n2 as NodeId {
-                if p.used[v as usize] {
-                    continue;
-                }
-                let mut g = p.g;
-                if g1.label(u) != g2.label(v) {
-                    g += 1.0;
-                }
-                for j in 0..i {
-                    let pv = p.map[j];
-                    let e1 = g1.has_edge(u, j as NodeId);
-                    let e2 = pv != EPS && g2.has_edge(v, pv);
-                    if e1 != e2 {
-                        g += 1.0;
-                    }
-                }
-                let mut q = p.clone();
-                q.map.push(v);
-                q.used[v as usize] = true;
-                q.g = g;
-                q.f = g + heuristic(&q);
-                next.push(q);
-            }
-            // u -> EPS.
-            {
-                let mut g = p.g + 1.0;
-                for j in 0..i {
-                    if g1.has_edge(u, j as NodeId) {
-                        g += 1.0;
-                    }
-                }
-                let mut q = p.clone();
-                q.map.push(EPS);
-                q.g = g;
-                q.f = g + heuristic(&q);
-                next.push(q);
-            }
+    // Dense g2 adjacency: row `v` is `adj2[v * n2..(v + 1) * n2]`.
+    let mut adj2 = vec![false; n2 * n2];
+    for v in 0..n2 {
+        for &w in g2.neighbors(v as NodeId) {
+            adj2[v * n2 + w as usize] = true;
         }
-        // Keep the `width` best by f (stable order for determinism).
-        next.sort_by(|a, b| a.f.partial_cmp(&b.f).unwrap_or(std::cmp::Ordering::Equal));
-        next.truncate(width);
-        frontier = next;
     }
 
-    frontier
-        .into_iter()
-        .map(|p| {
-            let m = NodeMapping { map: p.map };
+    // Frontier row `r` at depth `i`: mapping `map[r * i..(r + 1) * i]`,
+    // mask `used[r * n2..(r + 1) * n2]`, cost so far `g[r]`.
+    let mut map: Vec<NodeId> = Vec::new();
+    let mut used: Vec<bool> = vec![false; n2];
+    let mut g: Vec<f64> = vec![0.0];
+    let mut next_map: Vec<NodeId> = Vec::new();
+    let mut next_used: Vec<bool> = Vec::new();
+    let mut next_g: Vec<f64> = Vec::new();
+    let mut cands: Vec<Candidate> = Vec::new();
+    let mut e1: Vec<bool> = Vec::with_capacity(n1);
+    for i in 0..n1 {
+        let u = i as NodeId;
+        let lu = g1.label(u);
+        // g1 edges from u to the nodes already mapped.
+        e1.clear();
+        e1.extend((0..i).map(|j| g1.has_edge(u, j as NodeId)));
+        let e1_count = e1.iter().filter(|&&e| e).count();
+        let rem1 = &suffixes[i + 1];
+        cands.clear();
+        for (parent, &pg) in g.iter().enumerate() {
+            let pmap = &map[parent * i..(parent + 1) * i];
+            let pused = &used[parent * n2..(parent + 1) * n2];
+            // u -> v for each unused v.
+            for v in 0..n2 {
+                if pused[v] {
+                    continue;
+                }
+                let row = &adj2[v * n2..(v + 1) * n2];
+                let mut cost = usize::from(lu != g2.labels()[v]);
+                for (&e, &pv) in e1.iter().zip(pmap) {
+                    let e2 = pv != EPS && row[pv as usize];
+                    cost += usize::from(e != e2);
+                }
+                let cg = pg + cost as f64;
+                let h = masked_label_multiset_lb(rem1, &g2_sorted, |x| {
+                    x as usize == v || pused[x as usize]
+                });
+                cands.push(Candidate {
+                    f: cg + h,
+                    g: cg,
+                    parent,
+                    v: v as NodeId,
+                });
+            }
+            // u -> EPS.
+            let cg = pg + (1 + e1_count) as f64;
+            let h = masked_label_multiset_lb(rem1, &g2_sorted, |x| pused[x as usize]);
+            cands.push(Candidate {
+                f: cg + h,
+                g: cg,
+                parent,
+                v: EPS,
+            });
+        }
+        // Keep the `width` best by f; the stable sort keeps generation
+        // order among ties (determinism).
+        cands.sort_by(|a, b| a.f.total_cmp(&b.f));
+        cands.truncate(width);
+        // Materialize the survivors.
+        next_map.clear();
+        next_used.clear();
+        next_g.clear();
+        for c in &cands {
+            next_map.extend_from_slice(&map[c.parent * i..(c.parent + 1) * i]);
+            next_map.push(c.v);
+            next_used.extend_from_slice(&used[c.parent * n2..(c.parent + 1) * n2]);
+            if c.v != EPS {
+                next_used[next_g.len() * n2 + c.v as usize] = true;
+            }
+            next_g.push(c.g);
+        }
+        std::mem::swap(&mut map, &mut next_map);
+        std::mem::swap(&mut used, &mut next_used);
+        std::mem::swap(&mut g, &mut next_g);
+    }
+
+    (0..g.len())
+        .map(|r| {
+            let m = NodeMapping {
+                map: map[r * n1..(r + 1) * n1].to_vec(),
+            };
             let d = mapping_cost(g1, g2, &m);
             (d, m)
         })
-        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("beam frontier never empty")
 }
 

@@ -39,8 +39,8 @@ pub enum Solver {
 ///   ε    [ ins(v) on diag, ∞ off ]   [ 0 ]
 /// ```
 ///
-/// * `sub(u, v)` = label cost + |deg(u) − deg(v)| (incident-edge estimate
-///   for unlabeled edges),
+/// * `sub(u, v)` = label cost + the label-multiset distance between the
+///   neighbor labels of `u` and of `v` (incident-edge estimate),
 /// * `del(u)` = 1 + deg(u), `ins(v)` = 1 + deg(v).
 pub fn rb_cost_matrix(g1: &Graph, g2: &Graph) -> CostMatrix {
     let mut s = GedScratch::new();
@@ -50,6 +50,9 @@ pub fn rb_cost_matrix(g1: &Graph, g2: &Graph) -> CostMatrix {
 
 /// [`rb_cost_matrix`] built into `s.cost`, reusing the scratch's matrix and
 /// neighbor-label buffers. Bit-identical to the allocating form.
+///
+/// Each node's sorted neighbor-label list is built once per call (`g1`'s
+/// per row, `g2`'s for all nodes up front), not once per cell.
 pub fn rb_cost_matrix_into(g1: &Graph, g2: &Graph, s: &mut GedScratch) {
     let n1 = g1.node_count();
     let n2 = g2.node_count();
@@ -57,50 +60,46 @@ pub fn rb_cost_matrix_into(g1: &Graph, g2: &Graph, s: &mut GedScratch) {
     // Forbidden cells use a large finite value rather than ∞ so solver
     // arithmetic stays finite.
     let forbid = (n as f64 + 1.0) * (g1.edge_count() + g2.edge_count() + n) as f64 + 1e6;
+    // Sorted neighbor labels of every g2 node: node w's list is
+    // `nw[nw_off[w]..nw_off[w + 1]]`.
+    s.nw.clear();
+    s.nw_off.clear();
+    s.nw_off.push(0);
+    for w in 0..n2 as NodeId {
+        let start = s.nw.len();
+        s.nw.extend(g2.neighbors(w).iter().map(|&x| g2.label(x)));
+        s.nw[start..].sort_unstable();
+        s.nw_off.push(s.nw.len());
+    }
     s.cost.reset(n);
-    for i in 0..n {
-        if i < n1 {
-            // Sorted neighbor labels of u, shared across the row.
-            let u = i as NodeId;
-            s.nu.clear();
-            s.nu.extend(g1.neighbors(u).iter().map(|&x| g1.label(x)));
-            s.nu.sort_unstable();
+    for i in 0..n1 {
+        let u = i as NodeId;
+        let lu = g1.label(u);
+        // Sorted neighbor labels of u, shared across the row.
+        s.nu.clear();
+        s.nu.extend(g1.neighbors(u).iter().map(|&x| g1.label(x)));
+        s.nu.sort_unstable();
+        let row = s.cost.row_mut(i);
+        let (sub, del) = row.split_at_mut(n2);
+        let cells = sub.iter_mut().zip(g2.labels()).zip(s.nw_off.windows(2));
+        for ((cell, &lw), off) in cells {
+            let label = if lu != lw { 1.0 } else { 0.0 };
+            // Incident-edge estimate refined by endpoint labels
+            // (Riesen–Bunke with the labeled-neighborhood strengthening):
+            // the multiset distance between the two neighbor-label
+            // multisets lower-bounds the local edge reassignment cost and
+            // is far more discriminative than a plain degree difference on
+            // uniform-label chains.
+            *cell = label + sorted_label_multiset_lb(&s.nu, &s.nw[off[0]..off[1]]);
         }
-        for j in 0..n {
-            let v = match (i < n1, j < n2) {
-                (true, true) => {
-                    let u = i as NodeId;
-                    let w = j as NodeId;
-                    let label = if g1.label(u) != g2.label(w) { 1.0 } else { 0.0 };
-                    // Incident-edge estimate refined by endpoint labels
-                    // (Riesen–Bunke with the labeled-neighborhood
-                    // strengthening): the multiset distance between the two
-                    // neighbor-label multisets lower-bounds the local edge
-                    // reassignment cost and is far more discriminative than
-                    // a plain degree difference on uniform-label chains.
-                    s.nw.clear();
-                    s.nw.extend(g2.neighbors(w).iter().map(|&x| g2.label(x)));
-                    s.nw.sort_unstable();
-                    label + sorted_label_multiset_lb(&s.nu, &s.nw)
-                }
-                (true, false) => {
-                    if j - n2 == i {
-                        1.0 + g1.degree(i as NodeId) as f64
-                    } else {
-                        forbid
-                    }
-                }
-                (false, true) => {
-                    if i - n1 == j {
-                        1.0 + g2.degree(j as NodeId) as f64
-                    } else {
-                        forbid
-                    }
-                }
-                (false, false) => 0.0,
-            };
-            s.cost.set(i, j, v);
-        }
+        del.fill(forbid);
+        del[i] = 1.0 + g1.degree(u) as f64;
+    }
+    for j in 0..n2 {
+        // ε-rows: insertion of v on the diagonal; the ε×ε block stays 0.
+        let ins = &mut s.cost.row_mut(n1 + j)[..n2];
+        ins.fill(forbid);
+        ins[j] = 1.0 + g2.degree(j as NodeId) as f64;
     }
 }
 
@@ -119,19 +118,46 @@ pub fn bipartite_ged_scratch(
     solver: Solver,
     s: &mut GedScratch,
 ) -> (f64, NodeMapping) {
-    let n1 = g1.node_count();
-    let n2 = g2.node_count();
-    if n1 == 0 && n2 == 0 {
-        return (0.0, NodeMapping { map: vec![] });
-    }
-    // Structurally equal graphs: the identity mapping is optimal. The LSAP
-    // relaxation cannot promise this (ties between same-label, same-degree
-    // nodes may derive a costlier path), and a database routinely compares a
-    // graph against itself, so short-circuit.
-    if g1 == g2 {
-        return (0.0, NodeMapping::identity(n1));
+    if let Some(trivial) = trivial_pair(g1, g2) {
+        return trivial;
     }
     rb_cost_matrix_into(g1, g2, s);
+    solve_built(g1, g2, solver, s)
+}
+
+/// The smaller of the Hungarian and VJ distances, both solved on one
+/// Riesen–Bunke matrix (the bipartite half of the BestOfThree protocol).
+/// Bit-identical to `min` of two [`bipartite_ged`] calls.
+pub(crate) fn bipartite_ged_both(g1: &Graph, g2: &Graph) -> f64 {
+    if let Some((d, _)) = trivial_pair(g1, g2) {
+        return d;
+    }
+    with_scratch(|s| {
+        rb_cost_matrix_into(g1, g2, s);
+        let h = solve_built(g1, g2, Solver::Hungarian, s).0;
+        let v = solve_built(g1, g2, Solver::Vj, s).0;
+        h.min(v)
+    })
+}
+
+/// Pairs whose answer needs no LSAP: two empty graphs, and structurally
+/// equal graphs. For the latter the identity mapping is optimal; the LSAP
+/// relaxation cannot promise this (ties between same-label, same-degree
+/// nodes may derive a costlier path), and a database routinely compares a
+/// graph against itself, so short-circuit.
+fn trivial_pair(g1: &Graph, g2: &Graph) -> Option<(f64, NodeMapping)> {
+    let n1 = g1.node_count();
+    if n1 == 0 && g2.node_count() == 0 {
+        return Some((0.0, NodeMapping { map: vec![] }));
+    }
+    (g1 == g2).then(|| (0.0, NodeMapping::identity(n1)))
+}
+
+/// Solves the LSAP on the matrix already built in `s.cost` and prices the
+/// derived edit path.
+fn solve_built(g1: &Graph, g2: &Graph, solver: Solver, s: &mut GedScratch) -> (f64, NodeMapping) {
+    let n1 = g1.node_count();
+    let n2 = g2.node_count();
     let a = match solver {
         Solver::Hungarian => hungarian_with(&s.cost, &mut s.assign),
         Solver::Vj => lapjv_with(&s.cost, &mut s.assign),

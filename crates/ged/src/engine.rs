@@ -2,7 +2,7 @@
 //! paper's ground-truth protocol.
 
 use crate::beam::beam_ged;
-use crate::bipartite::{bipartite_ged, Solver};
+use crate::bipartite::{bipartite_ged, bipartite_ged_both, Solver};
 use crate::exact::{exact_ged, exact_ged_within, ExactLimits, ExactOutcome, ExactWithin};
 use crate::lower_bounds::{label_degree_lb, label_size_lb};
 use lan_graph::Graph;
@@ -56,10 +56,9 @@ pub fn ged(g1: &Graph, g2: &Graph, method: &GedMethod) -> Option<f64> {
         GedMethod::Vj => Some(bipartite_ged(g1, g2, Solver::Vj)),
         GedMethod::Beam { width } => Some(beam_ged(g1, g2, *width)),
         GedMethod::BestOfThree { beam_width } => {
-            let h = bipartite_ged(g1, g2, Solver::Hungarian);
-            let v = bipartite_ged(g1, g2, Solver::Vj);
+            let hv = bipartite_ged_both(g1, g2);
             let b = beam_ged(g1, g2, *beam_width);
-            Some(h.min(v).min(b))
+            Some(hv.min(b))
         }
     }
 }

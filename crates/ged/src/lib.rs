@@ -42,6 +42,7 @@ pub mod mapping;
 pub mod mcs;
 pub mod scratch;
 
+pub use beam::MAX_BEAM_WIDTH;
 pub use engine::{
     ged, ged_within, ged_within_outcome, ground_truth_ged, CascadeOutcome, GedBound, GedMethod,
     GroundTruthConfig,

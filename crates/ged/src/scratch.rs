@@ -23,9 +23,12 @@ pub struct GedScratch {
     pub assign: AssignScratch,
     /// Riesen–Bunke cost matrix.
     pub cost: CostMatrix,
-    /// Sorted neighbor-label buffers for the substitution cells.
+    /// Sorted neighbor labels of the current `g1` row node.
     pub nu: Vec<Label>,
+    /// Sorted neighbor labels of every `g2` node, concatenated; node `w`'s
+    /// list is `nw[nw_off[w]..nw_off[w + 1]]`.
     pub nw: Vec<Label>,
+    pub(crate) nw_off: Vec<usize>,
 }
 
 impl GedScratch {
@@ -35,6 +38,7 @@ impl GedScratch {
             cost: CostMatrix::zeros(0),
             nu: Vec::new(),
             nw: Vec::new(),
+            nw_off: Vec::new(),
         }
     }
 }
