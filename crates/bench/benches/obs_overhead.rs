@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lan_obs::span;
 use lan_pg::np_route::{np_route, OracleRanker};
-use lan_pg::{DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_pg::{BudgetCtx, DistCache, PairCache, PgConfig, ProximityGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,7 +91,16 @@ fn bench_routing_overhead(c: &mut Criterion) {
                 let f = |id: u32| dists[id as usize];
                 let cache = DistCache::new(&f);
                 let oracle = OracleRanker::new(&f, 20);
-                np_route(&adj, &cache, &oracle, &[entry], 32, 10, 1.0)
+                np_route(
+                    &adj,
+                    &cache,
+                    &oracle,
+                    &[entry],
+                    32,
+                    10,
+                    1.0,
+                    &BudgetCtx::unlimited(),
+                )
             })
         });
     }

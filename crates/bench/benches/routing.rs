@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lan_pg::np_route::{np_route, OracleRanker};
-use lan_pg::{beam_search, DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_pg::{beam_search, BudgetCtx, DistCache, PairCache, PgConfig, ProximityGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,7 +27,7 @@ fn bench_routing(c: &mut Criterion) {
         b.iter(|| {
             let f = |id: u32| dists[id as usize];
             let cache = DistCache::new(&f);
-            beam_search(&adj, &cache, &[entry], 32, 10)
+            beam_search(&adj, &cache, &[entry], 32, 10, &BudgetCtx::unlimited())
         })
     });
     group.bench_function("np_route_oracle", |b| {
@@ -35,7 +35,16 @@ fn bench_routing(c: &mut Criterion) {
             let f = |id: u32| dists[id as usize];
             let cache = DistCache::new(&f);
             let oracle = OracleRanker::new(&f, 20);
-            np_route(&adj, &cache, &oracle, &[entry], 32, 10, 1.0)
+            np_route(
+                &adj,
+                &cache,
+                &oracle,
+                &[entry],
+                32,
+                10,
+                1.0,
+                &BudgetCtx::unlimited(),
+            )
         })
     });
     group.finish();

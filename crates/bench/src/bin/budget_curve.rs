@@ -103,7 +103,7 @@ fn main() {
                 ..ModelConfig::default()
             },
             ds: 1.0,
-            quant: lan_core::QuantConfig::from_env(),
+            quant: lan_core::QuantConfig::default(),
         };
         (5usize, 2usize, spec, cfg)
     } else {

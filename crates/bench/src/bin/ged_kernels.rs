@@ -21,8 +21,7 @@
 //!
 //! The JSON also carries a `cascade_counters` block — the end-of-run
 //! registry totals for the full stacked cascade, cheapest tier first
-//! (quantized prefilter → admissible lower bounds → tau-aborted solves →
-//! full solves), in the same shape as `BENCH_quant.json` reports them.
+//! (admissible lower bounds → tau-aborted solves → full solves).
 //!
 //! ```text
 //! cargo run --release -p lan-bench --bin ged_kernels [-- --smoke]
@@ -36,7 +35,8 @@ use lan_ged::{GedBound, GedMethod};
 use lan_graph::Graph;
 use lan_obs::names;
 use lan_pg::{
-    beam_search, DistBound, DistCache, PairCache, PgConfig, ProximityGraph, QueryDistance,
+    beam_search, BudgetCtx, DistBound, DistCache, PairCache, PgConfig, ProximityGraph,
+    QueryDistance,
 };
 use std::time::Instant;
 
@@ -101,8 +101,15 @@ type RouteOutcome = (u32, Vec<(f64, u32)>, usize);
 /// One query of the routing workload: entry descent + Algorithm 1.
 fn route_one(s: &Setup, oracle: &dyn QueryDistance) -> RouteOutcome {
     let cache = DistCache::new(oracle);
-    let entry = s.pg.hnsw_entry(&cache);
-    let rr = beam_search(s.pg.base(), &cache, &[entry], s.b, s.k);
+    let entry = s.pg.hnsw_entry(&cache, &BudgetCtx::unlimited());
+    let rr = beam_search(
+        s.pg.base(),
+        &cache,
+        &[entry],
+        s.b,
+        s.k,
+        &BudgetCtx::unlimited(),
+    );
     (entry, rr.results, rr.ndc)
 }
 
@@ -187,19 +194,13 @@ fn main() {
     let overall_ratio = (routing_seed_full + gt_seed_full) as f64
         / (routing_casc_full + gt_casc_full).max(1) as f64;
     // The full stacked cascade, cheapest tier first, as end-of-run
-    // registry totals. The quantized prefilter tier sits above the
-    // admissible tiers but only engages on LanIndex query paths (this
-    // bench routes over a bare proximity graph), so its counters read
-    // zero here — they are reported all the same so the stack in this
-    // artifact and in BENCH_quant.json line up tier for tier.
-    let quant_evals = lan_obs::counter(names::QUANT_PREFILTER_EVALS).get();
-    let quant_pruned = lan_obs::counter(names::QUANT_PREFILTER_PRUNED).get();
+    // registry totals.
     let lb_prunes = lan_obs::counter(names::GED_LB_PRUNE).get();
     let early_aborts = lan_obs::counter(names::GED_EARLY_ABORT).get();
     let full_total = lan_obs::counter(names::GED_FULL_EVALS).get();
     eprintln!(
-        "overall reduction {overall_ratio:.2}x  (quant.prefilter.pruned {quant_pruned}, \
-         ged.lb_prune {lb_prunes}, ged.early_abort {early_aborts}, ged.full_evals {full_total})"
+        "overall reduction {overall_ratio:.2}x  (ged.lb_prune {lb_prunes}, \
+         ged.early_abort {early_aborts}, ged.full_evals {full_total})"
     );
 
     // The acceptance gate: at bit-identical results (asserted above, so
@@ -225,7 +226,7 @@ fn main() {
 
     std::fs::create_dir_all("results").expect("create results/");
     let json = format!(
-        "{{\n  \"bench\": \"ged_kernels\",\n{}  \"smoke\": {smoke},\n  \"graphs\": {},\n  \"queries\": {},\n  \"b\": {},\n  \"k\": {},\n  \"equivalence\": \"ok\",\n  \"routing\": {{\"seed_full_evals\": {routing_seed_full}, \"cascade_full_evals\": {routing_casc_full}, \"reduction\": {routing_ratio:.3}, \"seed_us\": {routing_seed_us:.0}, \"cascade_us\": {routing_casc_us:.0}}},\n  \"ground_truth\": {{\"k\": {gt_k}, \"seed_full_evals\": {gt_seed_full}, \"cascade_full_evals\": {gt_casc_full}, \"reduction\": {gt_ratio:.3}, \"seed_us\": {gt_seed_us:.0}, \"cascade_us\": {gt_casc_us:.0}}},\n  \"reduction\": {overall_ratio:.3},\n  \"ged_lb_prune\": {lb_prunes},\n  \"ged_early_abort\": {early_aborts},\n  \"cascade_counters\": {{\"quant.prefilter.evals\": {quant_evals}, \"quant.prefilter.pruned\": {quant_pruned}, \"ged.lb_prune\": {lb_prunes}, \"ged.early_abort\": {early_aborts}, \"ged.full_evals\": {full_total}}}\n}}\n",
+        "{{\n  \"bench\": \"ged_kernels\",\n{}  \"smoke\": {smoke},\n  \"graphs\": {},\n  \"queries\": {},\n  \"b\": {},\n  \"k\": {},\n  \"equivalence\": \"ok\",\n  \"routing\": {{\"seed_full_evals\": {routing_seed_full}, \"cascade_full_evals\": {routing_casc_full}, \"reduction\": {routing_ratio:.3}, \"seed_us\": {routing_seed_us:.0}, \"cascade_us\": {routing_casc_us:.0}}},\n  \"ground_truth\": {{\"k\": {gt_k}, \"seed_full_evals\": {gt_seed_full}, \"cascade_full_evals\": {gt_casc_full}, \"reduction\": {gt_ratio:.3}, \"seed_us\": {gt_seed_us:.0}, \"cascade_us\": {gt_casc_us:.0}}},\n  \"reduction\": {overall_ratio:.3},\n  \"ged_lb_prune\": {lb_prunes},\n  \"ged_early_abort\": {early_aborts},\n  \"cascade_counters\": {{\"ged.lb_prune\": {lb_prunes}, \"ged.early_abort\": {early_aborts}, \"ged.full_evals\": {full_total}}}\n}}\n",
         lan_bench::host_header_json(),
         s.ds.graphs.len(),
         s.query_idx.len(),

@@ -28,14 +28,6 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "gnn.infer.cache.hit",
     "gnn.infer.cache.miss",
     "query.count",
-    // The quantized prefilter tier's family registers at QuantStore
-    // build time, so every bench that builds an index must export it
-    // (zeros when the tier is off — presence is the schema contract).
-    "quant.prefilter.evals",
-    "quant.prefilter.pruned",
-    "quant.reorder.used",
-    "quant.kernel.simd",
-    "quant.kernel.scalar",
     // The EXPLAIN / profiler / trace families register at LanIndex build
     // time; zeros when the switches are off — presence is the contract.
     "explain.queries",

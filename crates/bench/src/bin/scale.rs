@@ -71,7 +71,7 @@ fn scale_config() -> LanConfig {
             ..ModelConfig::default()
         },
         ds: 1.0,
-        quant: QuantConfig::from_env(),
+        quant: QuantConfig::default(),
     }
 }
 
@@ -149,9 +149,9 @@ fn tier_attribution(
     sharded: &ShardedLanIndex,
     queries: &[(usize, Graph)],
     b: usize,
-) -> (u64, u64, u64, u64) {
+) -> (u64, u64, u64) {
     testenv::with_env(&[("LAN_SCHED", Some(sched))], || {
-        let mut sums = (0u64, 0u64, 0u64, 0u64);
+        let mut sums = (0u64, 0u64, 0u64);
         for (qi, q) in queries {
             let req = SearchRequest {
                 seed: *qi as u64,
@@ -162,10 +162,9 @@ fn tier_attribution(
                 .search(q, &req, Fanout::Seq)
                 .explain
                 .expect("plan requested");
-            sums.0 += ex.tiers.quant_skips;
-            sums.1 += ex.tiers.lb_prunes;
-            sums.2 += ex.tiers.tau_aborts;
-            sums.3 += ex.tiers.full_solves;
+            sums.0 += ex.tiers.lb_prunes;
+            sums.1 += ex.tiers.tau_aborts;
+            sums.2 += ex.tiers.full_solves;
         }
         sums
     })
@@ -253,10 +252,9 @@ fn main() {
         }
         grand_total_ndc += seq.total_ndc + sta.total_ndc + ws.total_ndc;
         // Per plan, `lb_prunes + tau_aborts + full_solves == ndc` (the
-        // reconciliation obs_check enforces); quant_skips never became
-        // distance computations, so they stay out of the NDC sum.
-        grand_total_ndc += tiers_seq.1 + tiers_seq.2 + tiers_seq.3;
-        grand_total_ndc += tiers_ws.1 + tiers_ws.2 + tiers_ws.3;
+        // reconciliation obs_check enforces).
+        grand_total_ndc += tiers_seq.0 + tiers_seq.1 + tiers_seq.2;
+        grand_total_ndc += tiers_ws.0 + tiers_ws.1 + tiers_ws.2;
 
         // Recall–QPS–NDC curve over the beam sweep (work-stealing mode).
         let mut curve: Vec<(usize, f64, f64, f64)> = Vec::new();

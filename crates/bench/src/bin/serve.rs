@@ -65,7 +65,7 @@ fn serve_bench_config() -> LanConfig {
             ..ModelConfig::default()
         },
         ds: 1.0,
-        quant: QuantConfig::from_env(),
+        quant: QuantConfig::default(),
     }
 }
 

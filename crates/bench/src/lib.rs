@@ -90,7 +90,7 @@ pub fn bench_lan_config(scale: Scale) -> LanConfig {
         pg: PgConfig::new(6),
         model,
         ds: 1.0,
-        quant: lan_core::QuantConfig::from_env(),
+        quant: lan_core::QuantConfig::default(),
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::index::LanIndex;
 use lan_graph::Graph;
 use lan_obs::TimerCell;
-use lan_pg::{beam_search, DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_pg::{beam_search, BudgetCtx, DistCache, PairCache, PgConfig, ProximityGraph};
 use std::time::{Duration, Instant};
 
 /// L2route's own index: an HNSW over the embedding vectors.
@@ -57,13 +57,14 @@ impl L2RouteIndex {
         // distance computations, which are the expensive operation).
         let vq = |id: u32| l2(&self.embeds[id as usize], &qe);
         let vcache = DistCache::new_uncounted(&vq);
-        let entry = self.pg.hnsw_entry(&vcache);
+        let entry = self.pg.hnsw_entry(&vcache, &BudgetCtx::unlimited());
         let cand = beam_search(
             self.pg.base(),
             &vcache,
             &[entry],
             candidates.max(k),
             candidates.max(k),
+            &BudgetCtx::unlimited(),
         );
 
         // Verification with true GED — this is the counted cost. The timer

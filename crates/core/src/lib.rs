@@ -42,7 +42,6 @@ pub mod store;
 pub use harness::{qps_at_recall, Breakdown, CurvePoint};
 pub use index::{LanConfig, LanIndex, QuantConfig};
 pub use l2route::L2RouteIndex;
-pub use lan_gnn::QuantMode;
 pub use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
 pub use query::{InitStrategy, QueryOutcome, RouteStrategy, SearchRequest, SearchResponse};
 pub use sharded::{Fanout, ShardedLanIndex};

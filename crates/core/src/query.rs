@@ -7,15 +7,13 @@
 //! cross-graph learning time vs rest).
 
 use crate::index::LanIndex;
-use lan_gnn::QuantMode;
 use lan_graph::Graph;
-use lan_models::{LearnedRanker, QuantPrefilter, QueryContext};
+use lan_models::LearnedRanker;
 use lan_obs::explain::{BudgetExplain, QueryExplain, SolveTier, TierCounts, TimelineEvent};
 use lan_obs::{names, span, TimerCell};
 use lan_pg::budget::{budgeted_get, BudgetCtx, QueryBudget, Termination};
 use lan_pg::faults::{self, FaultMetrics, FaultPlan};
-use lan_pg::np_route::np_route_prefiltered;
-use lan_pg::{beam_search_budgeted, CandidatePrefilter, DistBound, DistCache, QueryDistance};
+use lan_pg::{beam_search, np_route, DistBound, DistCache, QueryDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -266,6 +264,12 @@ impl LanIndex {
     /// `lan_pg::faults::set_plan`), distance computations fault
     /// deterministically and recover by retrying once, then falling back
     /// to the approximate GED metric.
+    ///
+    /// # Panics
+    ///
+    /// When `req` uses the learned models (`LAN_IS` or `LAN_Route`, the
+    /// default), if `q` has no nodes or a node label that is not below the
+    /// index's label count (`self.models.num_labels`).
     pub fn search(&self, q: &Graph, req: &SearchRequest) -> SearchResponse {
         let ctx = BudgetCtx::new(&req.budget);
         self.search_in(q, &req.collecting(), &ctx).deliver(req)
@@ -412,7 +416,7 @@ impl LanIndex {
         let init_t0 = Instant::now();
         let init_span = span("query.init");
         let entries: Vec<u32> = match init {
-            InitStrategy::HnswIs => vec![self.pg.hnsw_entry_budgeted(&cache, ctx)],
+            InitStrategy::HnswIs => vec![self.pg.hnsw_entry(&cache, ctx)],
             InitStrategy::RandIs => {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x9a7d);
                 vec![rng.gen_range(0..self.pg.len()) as u32]
@@ -421,7 +425,7 @@ impl LanIndex {
                 let qc = qctx.as_ref().expect("LAN_IS requires a query context");
                 let nh = self.models.predicted_neighborhood(qc, use_cg);
                 if nh.is_empty() {
-                    vec![self.pg.hnsw_entry_budgeted(&cache, ctx)]
+                    vec![self.pg.hnsw_entry(&cache, ctx)]
                 } else {
                     // Sample s graphs from N̂_Q, compute their (counted)
                     // distances, keep the best one (paper §V-A). Under an
@@ -469,14 +473,11 @@ impl LanIndex {
         let route_t0 = Instant::now();
         let route_span = span("query.route");
         let route_result = match route {
-            RouteStrategy::HnswRoute => {
-                beam_search_budgeted(self.pg.base(), &cache, &entries, b, k, ctx)
-            }
+            RouteStrategy::HnswRoute => beam_search(self.pg.base(), &cache, &entries, b, k, ctx),
             RouteStrategy::LanRoute { use_cg } => {
                 let qc = qctx.as_ref().expect("LAN_Route requires a query context");
                 let ranker = LearnedRanker::new(&self.models, qc, use_cg);
-                let prefilter = self.quant_prefilter(qc);
-                np_route_prefiltered(
+                np_route(
                     self.pg.base(),
                     &cache,
                     &ranker,
@@ -485,7 +486,6 @@ impl LanIndex {
                     k,
                     self.cfg.ds,
                     ctx,
-                    prefilter.as_ref().map(|p| p as &dyn CandidatePrefilter),
                 )
             }
         };
@@ -533,42 +533,10 @@ impl LanIndex {
         (outcome, stage_trace)
     }
 
-    /// The per-query routing prefilter under the configured quantized
-    /// tier; `None` when the tier is off (or nothing was quantized), in
-    /// which case routing is bit-identical to the pre-quant router.
-    fn quant_prefilter<'a>(&'a self, qc: &QueryContext) -> Option<QuantPrefilter<'a>> {
-        if self.cfg.quant.mode == QuantMode::Off {
-            return None;
-        }
-        let idx = self.models.quant.as_ref()?;
-        Some(QuantPrefilter::new(
-            idx,
-            self.cfg.quant.mode,
-            &qc.gin_embed,
-            self.cfg.quant.margin,
-        ))
-    }
-
-    /// Calibrated quantized-surrogate predictions for every database
-    /// graph — visit-order keys for the reorderable ground-truth scan.
-    /// `None` when the configured mode is `Off` (or nothing quantized).
-    pub fn quant_keys(&self, q: &Graph) -> Option<Vec<f64>> {
-        if self.cfg.quant.mode == QuantMode::Off {
-            return None;
-        }
-        let idx = self.models.quant.as_ref()?;
-        let qq = idx.encode(&self.models.embed(q));
-        Some(idx.keys(self.cfg.quant.mode, &qq))
-    }
-
-    /// Ground-truth k-NN of `q`, visiting candidates in quantized order
-    /// when the tier is enabled. Result-identical to
-    /// [`lan_datasets::Dataset::ground_truth_knn`] in every mode (the
-    /// reordering only moves `ged.full_evals`, proven and property-tested
-    /// in `lan-datasets`).
+    /// Ground-truth k-NN of `q` (see
+    /// [`lan_datasets::Dataset::ground_truth_knn`]).
     pub fn ground_truth(&self, q: &Graph, k: usize) -> Vec<(f64, u32)> {
-        let keys = self.quant_keys(q);
-        self.dataset.ground_truth_knn_ordered(q, k, keys.as_deref())
+        self.dataset.ground_truth_knn(q, k)
     }
 
     /// Recall@k of a result id list against the brute-force ground truth.

@@ -128,6 +128,12 @@ impl ShardedLanIndex {
     /// computations won the budget race, so they are best-so-far but not
     /// run-to-run deterministic — only the invariants (NDC ≤ cap,
     /// degraded tag set) are guaranteed.
+    ///
+    /// # Panics
+    ///
+    /// As [`LanIndex::search`]: when `req` uses the learned models, if `q`
+    /// has no nodes or a node label that is not below the index's label
+    /// count.
     pub fn search(&self, q: &Graph, req: &SearchRequest, fanout: Fanout) -> SearchResponse {
         let t0 = Instant::now();
         let ctx = BudgetCtx::new(&req.budget);

@@ -9,7 +9,7 @@
 //! | `meta`    | `LanConfig` + `TrainReport` + `build_ndc`        |
 //! | `dataset` | spec, database graphs (CSR + signatures), queries, split |
 //! | `pg`      | HNSW layers (CSR per layer), levels, entry       |
-//! | `models`  | trained weights, KMeans, γ\*, embeddings, quant  |
+//! | `models`  | trained weights, KMeans, γ\*, embeddings        |
 //!
 //! A sharded index stores a `sharded.meta` section (shard count, database
 //! size, per-shard global-id maps) plus the same four sections per shard
@@ -25,33 +25,12 @@ use crate::index::{LanConfig, LanIndex, QuantConfig};
 use crate::l2route::L2RouteIndex;
 use crate::sharded::ShardedLanIndex;
 use lan_datasets::Dataset;
-use lan_gnn::QuantMode;
 use lan_models::{LanModels, ModelConfig, TrainReport};
 use lan_obs::names;
 use lan_pg::{PgConfig, ProximityGraph};
 use lan_store::{Archive, Dec, Enc, StoreError, Writer};
 use std::path::Path;
 use std::time::Instant;
-
-fn encode_quant_cfg(q: &QuantConfig, enc: &mut Enc) {
-    enc.put_u8(match q.mode {
-        QuantMode::Off => 0,
-        QuantMode::Binary => 1,
-        QuantMode::Scalar => 2,
-    });
-    enc.put_f64(q.margin);
-}
-
-fn decode_quant_cfg(dec: &mut Dec<'_>) -> Result<QuantConfig, StoreError> {
-    let mode = match dec.get_u8()? {
-        0 => QuantMode::Off,
-        1 => QuantMode::Binary,
-        2 => QuantMode::Scalar,
-        t => return Err(StoreError::corrupt(format!("unknown quant mode tag {t}"))),
-    };
-    let margin = dec.get_f64()?;
-    Ok(QuantConfig { mode, margin })
-}
 
 fn encode_pg_cfg(p: &PgConfig, enc: &mut Enc) {
     enc.put_u64(p.m as u64);
@@ -80,19 +59,17 @@ fn encode_lan_cfg(cfg: &LanConfig, enc: &mut Enc) {
     encode_pg_cfg(&cfg.pg, enc);
     cfg.model.store_encode(enc);
     enc.put_f64(cfg.ds);
-    encode_quant_cfg(&cfg.quant, enc);
 }
 
 fn decode_lan_cfg(dec: &mut Dec<'_>) -> Result<LanConfig, StoreError> {
     let pg = decode_pg_cfg(dec)?;
     let model = ModelConfig::store_decode(dec)?;
     let ds = dec.get_f64()?;
-    let quant = decode_quant_cfg(dec)?;
     Ok(LanConfig {
         pg,
         model,
         ds,
-        quant,
+        quant: QuantConfig::default(),
     })
 }
 
@@ -341,10 +318,7 @@ mod tests {
             pg: PgConfig::new(5),
             model: ModelConfig::default(),
             ds: 2.0,
-            quant: QuantConfig {
-                mode: QuantMode::Scalar,
-                margin: 1.75,
-            },
+            quant: QuantConfig::default(),
         };
         let mut enc = Enc::new();
         encode_lan_cfg(&cfg, &mut enc);
@@ -358,8 +332,6 @@ mod tests {
         assert_eq!(back.pg.m, 5);
         assert_eq!(back.pg.ef_construction, cfg.pg.ef_construction);
         assert_eq!(back.ds.to_bits(), cfg.ds.to_bits());
-        assert_eq!(back.quant.mode, QuantMode::Scalar);
-        assert_eq!(back.quant.margin.to_bits(), cfg.quant.margin.to_bits());
         assert_eq!(back.model.seed, cfg.model.seed);
     }
 }

@@ -8,7 +8,7 @@ use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy, SearchRequest};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::{LearnedRanker, ModelConfig};
 use lan_pg::np_route::np_route;
-use lan_pg::{beam_search, DistCache, PgConfig};
+use lan_pg::{beam_search, BudgetCtx, DistCache, PgConfig};
 
 fn tiny_index() -> LanIndex {
     let ds = Dataset::generate(
@@ -51,8 +51,15 @@ fn search_matches_plain_oracle_routing() {
         };
         let out = index.search(&q, &req).outcome;
         let cache = DistCache::new(&f);
-        let entry = index.pg.hnsw_entry(&cache);
-        let rr = beam_search(index.pg.base(), &cache, &[entry], b, k);
+        let entry = index.pg.hnsw_entry(&cache, &BudgetCtx::unlimited());
+        let rr = beam_search(
+            index.pg.base(),
+            &cache,
+            &[entry],
+            b,
+            k,
+            &BudgetCtx::unlimited(),
+        );
         assert_eq!(out.results, rr.results, "hnsw results, q={qi}");
         assert_eq!(out.ndc, rr.ndc, "hnsw ndc, q={qi}");
         assert_eq!(out.termination, rr.termination, "hnsw termination, q={qi}");
@@ -66,7 +73,7 @@ fn search_matches_plain_oracle_routing() {
             };
             let out = index.search(&q, &req).outcome;
             let cache = DistCache::new(&f);
-            let entry = index.pg.hnsw_entry(&cache);
+            let entry = index.pg.hnsw_entry(&cache, &BudgetCtx::unlimited());
             let qc = index.models.query_context(&q, use_cg);
             let ranker = LearnedRanker::new(&index.models, &qc, use_cg);
             let rr = np_route(
@@ -77,6 +84,7 @@ fn search_matches_plain_oracle_routing() {
                 b,
                 k,
                 index.cfg.ds,
+                &BudgetCtx::unlimited(),
             );
             assert_eq!(out.results, rr.results, "lan results, q={qi} cg={use_cg}");
             assert_eq!(out.ndc, rr.ndc, "lan ndc, q={qi} cg={use_cg}");

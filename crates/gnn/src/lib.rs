@@ -24,7 +24,6 @@ pub mod gin;
 pub mod gnn_graph;
 pub mod hag;
 pub mod infer;
-pub mod quant;
 
 pub use cg::CompressedGnnGraph;
 pub use cross::{CrossGraphNet, CrossInput, PairEmbedding};
@@ -32,4 +31,3 @@ pub use gin::{Gin, GnnConfig};
 pub use gnn_graph::GnnGraph;
 pub use hag::HagPlan;
 pub use infer::{with_scratch, InferScratch};
-pub use quant::{QuantMode, QuantQuery, QuantStore};

@@ -6,10 +6,8 @@
 pub mod kmeans;
 pub mod learned_ranker;
 pub mod models;
-pub mod quant_index;
 pub mod store;
 
 pub use kmeans::KMeans;
 pub use learned_ranker::LearnedRanker;
 pub use models::{LanModels, ModelConfig, QueryContext, TrainReport};
-pub use quant_index::{QuantCalib, QuantIndex, QuantPrefilter};

@@ -236,10 +236,6 @@ pub struct LanModels {
     pub gamma_star: f64,
     /// GIN embedding of every database graph.
     pub db_embeds: Vec<Vec<f32>>,
-    /// Packed quantized codes of `db_embeds` with per-mode GED calibration
-    /// — the quantized prefilter tier (`None` only for degenerate
-    /// databases with nothing to quantize).
-    pub quant: Option<crate::quant_index::QuantIndex>,
     /// Precomputed compressed GNN-graphs of the database (paper §VI-C).
     pub db_cgs: Vec<CompressedGnnGraph>,
     /// Cross-graph inputs, compressed and plain, per database graph.
@@ -325,18 +321,6 @@ impl LanModels {
             lan_par::par_map_dyn(&dataset.graphs, lan_par::Grain::Coarse, |g| {
                 gin.embed(&gin_store, g).data().to_vec()
             });
-
-        // --- Quantized prefilter tier: pack codes, calibrate to GED. ---
-        // Reuses the train_dists matrix, so calibration costs zero extra
-        // distance computations; the training-query embeddings are one
-        // cheap GIN forward each.
-        let train_embeds: Vec<Vec<f32>> =
-            lan_par::par_map_indices_dyn(train_dists.len(), lan_par::Grain::Auto, |qi| {
-                gin.embed(&gin_store, &dataset.queries[dataset.split.train[qi]])
-                    .data()
-                    .to_vec()
-            });
-        let quant = crate::quant_index::QuantIndex::build(&db_embeds, &train_embeds, train_dists);
 
         // --- KMeans over embeddings. ---
         let kmeans = KMeans::fit(&db_embeds, cfg.clusters, 50, cfg.seed ^ 0x5eed);
@@ -450,7 +434,6 @@ impl LanModels {
             kmeans,
             gamma_star,
             db_embeds,
-            quant,
             db_cgs,
             db_inputs_cg,
             db_inputs_plain,

@@ -2,11 +2,10 @@
 //!
 //! Serialization strategy: persist exactly the artifacts that are
 //! expensive or RNG-dependent to reproduce — the four parameter stores'
-//! trained values, the KMeans clustering, `gamma_star`, the database GIN
-//! embeddings, and the quantized prefilter (codes + calibration) — and
-//! *recompute* the cheap deterministic ones at load (compressed
-//! GNN-graphs and cross inputs, which are pure functions of the database
-//! graphs and the config).
+//! trained values, the KMeans clustering, `gamma_star` and the database
+//! GIN embeddings — and *recompute* the cheap deterministic ones at load
+//! (compressed GNN-graphs and cross inputs, which are pure functions of the
+//! database graphs and the config).
 //!
 //! Loading replays `LanModels::train`'s network-construction order
 //! against a fresh seeded RNG — including the auxiliary distance head
@@ -19,9 +18,8 @@
 
 use crate::kmeans::KMeans;
 use crate::models::{LanModels, ModelConfig, TrainReport};
-use crate::quant_index::{QuantCalib, QuantIndex};
 use lan_datasets::Dataset;
-use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, Gin, GnnConfig, QuantStore};
+use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, Gin, GnnConfig};
 use lan_store::{Dec, Enc, StoreError};
 use lan_tensor::{FusedHeads, Mlp, ParamStore};
 use rand::rngs::StdRng;
@@ -226,8 +224,8 @@ fn build_skeleton(cfg: &ModelConfig, num_labels: usize) -> Skeleton {
 }
 
 impl LanModels {
-    /// Serializes the trained bundle (weights + clustering + embeddings +
-    /// quantized prefilter). Database-derived inference caches (`db_cgs`,
+    /// Serializes the trained bundle (weights + clustering + embeddings).
+    /// Database-derived inference caches (`db_cgs`,
     /// `db_inputs_*`) are recomputed at load.
     pub fn store_encode(&self, enc: &mut Enc) {
         self.cfg.store_encode(enc);
@@ -239,17 +237,6 @@ impl LanModels {
         self.mc_store.store_encode_values(enc);
         encode_kmeans(&self.kmeans, enc);
         encode_embeds(&self.db_embeds, enc);
-        match &self.quant {
-            Some(q) => {
-                enc.put_bool(true);
-                q.store.store_encode(enc);
-                enc.put_f64(q.calib_binary.a);
-                enc.put_f64(q.calib_binary.b);
-                enc.put_f64(q.calib_scalar.a);
-                enc.put_f64(q.calib_scalar.b);
-            }
-            None => enc.put_bool(false),
-        }
     }
 
     /// Decodes a bundle written by [`LanModels::store_encode`] against the
@@ -273,31 +260,6 @@ impl LanModels {
 
         let kmeans = decode_kmeans(dec, dataset.graphs.len())?;
         let db_embeds = decode_embeds(dec, dataset.graphs.len())?;
-        let quant = if dec.get_bool()? {
-            let store = QuantStore::store_decode(dec)?;
-            if store.len() != dataset.graphs.len() {
-                return Err(StoreError::corrupt(format!(
-                    "quant store covers {} of {} graphs",
-                    store.len(),
-                    dataset.graphs.len()
-                )));
-            }
-            let calib_binary = QuantCalib {
-                a: dec.get_f64()?,
-                b: dec.get_f64()?,
-            };
-            let calib_scalar = QuantCalib {
-                a: dec.get_f64()?,
-                b: dec.get_f64()?,
-            };
-            Some(QuantIndex {
-                store,
-                calib_binary,
-                calib_scalar,
-            })
-        } else {
-            None
-        };
 
         // Fused ranker kernel: built AFTER the value load — it snapshots
         // the head weights at construction.
@@ -335,7 +297,6 @@ impl LanModels {
             kmeans,
             gamma_star,
             db_embeds,
-            quant,
             db_cgs,
             db_inputs_cg,
             db_inputs_plain,
@@ -415,7 +376,6 @@ mod tests {
         assert_eq!(back.db_embeds, models.db_embeds);
         assert_eq!(back.kmeans.centroids, models.kmeans.centroids);
         assert_eq!(back.kmeans.assignment, models.kmeans.assignment);
-        assert_eq!(back.quant.is_some(), models.quant.is_some());
 
         // Behavioral identity: same neighborhood prediction and same
         // ranker batches for a query neither side has seen in training.

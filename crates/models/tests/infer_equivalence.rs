@@ -7,7 +7,7 @@ use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::GedMethod;
 use lan_models::{LanModels, LearnedRanker, ModelConfig};
 use lan_pg::np_route::np_route;
-use lan_pg::{DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_pg::{BudgetCtx, DistCache, PairCache, PgConfig, ProximityGraph};
 
 fn tiny_setup() -> (Dataset, ProximityGraph, LanModels) {
     let spec = DatasetSpec::syn()
@@ -75,17 +75,35 @@ fn np_route_identical_under_batched_and_per_neighbor_rankers() {
 
             // Entry selection gets its own cache so both routed caches
             // start empty and report comparable NDC.
-            let entry = pg.hnsw_entry(&DistCache::new(&qd));
+            let entry = pg.hnsw_entry(&DistCache::new(&qd), &BudgetCtx::unlimited());
 
             let ctx_a = models.query_context(q, use_cg);
             let cache_a = DistCache::new(&qd);
             let ranker_a = LearnedRanker::new(&models, &ctx_a, use_cg);
-            let res_a = np_route(pg.base(), &cache_a, &ranker_a, &[entry], 8, 5, 1.0);
+            let res_a = np_route(
+                pg.base(),
+                &cache_a,
+                &ranker_a,
+                &[entry],
+                8,
+                5,
+                1.0,
+                &BudgetCtx::unlimited(),
+            );
 
             let ctx_b = models.query_context(q, use_cg);
             let cache_b = DistCache::new(&qd);
             let ranker_b = LearnedRanker::per_neighbor(&models, &ctx_b, use_cg);
-            let res_b = np_route(pg.base(), &cache_b, &ranker_b, &[entry], 8, 5, 1.0);
+            let res_b = np_route(
+                pg.base(),
+                &cache_b,
+                &ranker_b,
+                &[entry],
+                8,
+                5,
+                1.0,
+                &BudgetCtx::unlimited(),
+            );
 
             assert_eq!(res_a.results, res_b.results, "qi={qi} use_cg={use_cg}");
             assert_eq!(res_a.ndc, res_b.ndc, "qi={qi} use_cg={use_cg}");

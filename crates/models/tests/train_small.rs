@@ -4,7 +4,7 @@ use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::GedMethod;
 use lan_models::{LanModels, LearnedRanker, ModelConfig};
 use lan_pg::np_route::{np_route, NeighborRanker};
-use lan_pg::{beam_search, DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_pg::{beam_search, BudgetCtx, DistCache, PairCache, PgConfig, ProximityGraph};
 
 fn tiny_setup() -> (Dataset, ProximityGraph, Vec<Vec<f64>>, LanModels) {
     let spec = DatasetSpec::syn()
@@ -84,16 +84,32 @@ fn training_pipeline_end_to_end() {
     // The learned ranker drives np_route to sane results.
     let qd = |g: u32| ds.distance(q, g);
     let cache = DistCache::new(&qd);
-    let entry = pg.hnsw_entry(&cache);
+    let entry = pg.hnsw_entry(&cache, &BudgetCtx::unlimited());
     let ranker = LearnedRanker::new(&models, &ctx_cg, true);
-    let res = np_route(pg.base(), &cache, &ranker, &[entry], 8, 5, 1.0);
+    let res = np_route(
+        pg.base(),
+        &cache,
+        &ranker,
+        &[entry],
+        8,
+        5,
+        1.0,
+        &BudgetCtx::unlimited(),
+    );
     assert_eq!(res.results.len(), 5);
     assert!(res.results.windows(2).all(|w| w[0].0 <= w[1].0));
 
     // Compare against the exhaustive baseline: learned pruning should not
     // blow up NDC beyond the baseline (it may explore slightly differently).
     let cache_bs = DistCache::new(&qd);
-    let bs = beam_search(pg.base(), &cache_bs, &[entry], 8, 5);
+    let bs = beam_search(
+        pg.base(),
+        &cache_bs,
+        &[entry],
+        8,
+        5,
+        &BudgetCtx::unlimited(),
+    );
     assert!(
         res.ndc <= bs.ndc * 2,
         "np ndc {} vs baseline {}",

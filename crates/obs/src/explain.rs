@@ -3,10 +3,10 @@
 //!
 //! A [`QueryExplain`] is assembled by `lan-core`'s `search_explain` path
 //! and carries per-stage wall-clock (init / route / distance / GNN), the
-//! query's NDC broken down by cascade tier (quantized prefilter skips,
-//! signature lower-bound prunes, tau-aborted A\* runs, full solves),
-//! cache hit/miss counts, the budget consumption timeline, per-shard
-//! sub-plans, and the termination cause.
+//! query's NDC broken down by cascade tier (signature lower-bound
+//! prunes, tau-aborted A\* runs, full solves), cache hit/miss counts, the
+//! budget consumption timeline, per-shard sub-plans, and the termination
+//! cause.
 //!
 //! # The reconciliation contract
 //!
@@ -19,8 +19,6 @@
 //! lookups == ndc + cache_hits
 //! ```
 //!
-//! Quantized prefilter skips are counted separately: each one is a
-//! distance computation that never happened, so it is *not* part of NDC.
 //! `crates/core/tests/explain_properties.rs` property-tests these
 //! identities under shard fan-out and every budget termination cause.
 //!
@@ -97,7 +95,6 @@ pub enum SolveTier {
 /// instance only exists when explain collection is active for the query.
 #[derive(Debug, Default)]
 pub struct TierCounts {
-    quant_skips: AtomicU64,
     lb_prunes: AtomicU64,
     tau_aborts: AtomicU64,
     full_solves: AtomicU64,
@@ -115,17 +112,9 @@ impl TierCounts {
         cell.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Notes a routing candidate skipped by the quantized prefilter (a
-    /// distance computation that never ran — avoided NDC, not NDC).
-    #[inline]
-    pub fn note_quant_skip(&self) {
-        self.quant_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Point-in-time copy of the tallies.
     pub fn snapshot(&self) -> TierBreakdown {
         TierBreakdown {
-            quant_skips: self.quant_skips.load(Ordering::Relaxed),
             lb_prunes: self.lb_prunes.load(Ordering::Relaxed),
             tau_aborts: self.tau_aborts.load(Ordering::Relaxed),
             full_solves: self.full_solves.load(Ordering::Relaxed),
@@ -136,8 +125,6 @@ impl TierCounts {
 /// A query's NDC decomposed by cascade tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierBreakdown {
-    /// Candidates skipped by the quantized prefilter (avoided NDC).
-    pub quant_skips: u64,
     /// Misses settled by a signature lower bound.
     pub lb_prunes: u64,
     /// Misses settled by a tau-aborted exact solve.
@@ -148,14 +135,13 @@ pub struct TierBreakdown {
 
 impl TierBreakdown {
     /// Misses attributed to a tier — equals the query's NDC by the
-    /// reconciliation contract (quant skips are avoided work, not NDC).
+    /// reconciliation contract.
     pub fn attributed(&self) -> u64 {
         self.lb_prunes + self.tau_aborts + self.full_solves
     }
 
     /// Component-wise accumulation (shard merging).
     pub fn accumulate(&mut self, other: &TierBreakdown) {
-        self.quant_skips += other.quant_skips;
         self.lb_prunes += other.lb_prunes;
         self.tau_aborts += other.tau_aborts;
         self.full_solves += other.full_solves;
@@ -260,7 +246,7 @@ impl QueryExplain {
             "{{\"q\":{},\"k\":{},\"b\":{},\"init\":\"{}\",\"route\":\"{}\",\"term\":\"{}\",\
              \"ns\":{{\"total\":{},\"init\":{},\"route\":{},\"dist\":{},\"gnn\":{}}},\
              \"ndc\":{},\"cache_hits\":{},\"hops\":{},\
-             \"tiers\":{{\"quant_skips\":{},\"lb_prunes\":{},\"tau_aborts\":{},\"full_solves\":{}}},\
+             \"tiers\":{{\"lb_prunes\":{},\"tau_aborts\":{},\"full_solves\":{}}},\
              \"budget\":{{\"max_ndc\":{},\"deadline_ms\":{},\"max_hops\":{},\"spent\":{}}},\
              \"timeline\":[",
             self.query,
@@ -277,7 +263,6 @@ impl QueryExplain {
             self.ndc,
             self.cache_hits,
             self.hops,
-            self.tiers.quant_skips,
             self.tiers.lb_prunes,
             self.tiers.tau_aborts,
             self.tiers.full_solves,
@@ -393,7 +378,6 @@ mod tests {
             cache_hits: 11,
             hops: 9,
             tiers: TierBreakdown {
-                quant_skips: 4,
                 lb_prunes: 20,
                 tau_aborts: 7,
                 full_solves: 15,
@@ -431,7 +415,7 @@ mod tests {
              \"term\":\"converged\",\
              \"ns\":{\"total\":1000,\"init\":200,\"route\":700,\"dist\":600,\"gnn\":150},\
              \"ndc\":42,\"cache_hits\":11,\"hops\":9,\
-             \"tiers\":{\"quant_skips\":4,\"lb_prunes\":20,\"tau_aborts\":7,\"full_solves\":15},\
+             \"tiers\":{\"lb_prunes\":20,\"tau_aborts\":7,\"full_solves\":15},\
              \"budget\":{\"max_ndc\":100,\"deadline_ms\":null,\"max_hops\":null,\"spent\":42},\
              \"timeline\":[{\"stage\":\"init\",\"ndc\":6,\"ns\":210},\
              {\"stage\":\"route\",\"ndc\":42,\"ns\":930}],\"shards\":[]}"
@@ -454,12 +438,10 @@ mod tests {
         t.note_solve(SolveTier::LbPrune);
         t.note_solve(SolveTier::TauAbort);
         t.note_solve(SolveTier::FullSolve);
-        t.note_quant_skip();
         let b = t.snapshot();
         assert_eq!(b.lb_prunes, 2);
         assert_eq!(b.tau_aborts, 1);
         assert_eq!(b.full_solves, 1);
-        assert_eq!(b.quant_skips, 1);
         assert_eq!(b.attributed(), 4);
     }
 

@@ -8,6 +8,7 @@
 //! hierarchy also provides the `HNSW_IS` initial-node selection (greedy
 //! descent from the top layer).
 
+use crate::budget::BudgetCtx;
 use crate::metric::{DistCache, PairCache, QueryDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -208,14 +209,11 @@ impl ProximityGraph {
     /// HNSW-style initial-node selection (`HNSW_IS`): greedy descent from
     /// the top layer to layer 1 using **counted** query distances, returning
     /// the entry node for base-layer routing.
-    pub fn hnsw_entry(&self, cache: &DistCache<'_>) -> u32 {
-        self.hnsw_entry_budgeted(cache, &crate::budget::BudgetCtx::unlimited())
-    }
-
-    /// [`Self::hnsw_entry`] under a query budget: once the budget stops
-    /// answering distances the descent sees `+inf` for every further
-    /// candidate, stops improving, and returns the best node reached so
-    /// far — graceful degradation, never a panic.
+    ///
+    /// Runs under the query budget `ctx` ([`BudgetCtx::unlimited`] for
+    /// none): once the budget stops answering distances the descent sees
+    /// `+inf` for every further candidate, stops improving, and returns the
+    /// best node reached so far — graceful degradation, never a panic.
     ///
     /// Distances flow through the threshold-gated cache path with the
     /// current best descent distance as the gate: a candidate whose lower
@@ -223,11 +221,7 @@ impl ProximityGraph {
     /// the equal-distance tie-break), so the bound itself stands in for the
     /// full solve. With an ungated metric this is the seed descent bit for
     /// bit — same moves, same NDC, same hits.
-    pub fn hnsw_entry_budgeted(
-        &self,
-        cache: &DistCache<'_>,
-        ctx: &crate::budget::BudgetCtx,
-    ) -> u32 {
+    pub fn hnsw_entry(&self, cache: &DistCache<'_>, ctx: &BudgetCtx) -> u32 {
         use crate::budget::{budgeted_get, budgeted_get_within};
         use crate::metric::DistBound;
         let mut cur = self.entry;
@@ -471,8 +465,8 @@ mod tests {
             let qd = move |id: u32| (pts_c[id as usize] - q).abs();
             let truth = brute_force_knn(200, &qd, 10);
             let dc = DistCache::new(&qd);
-            let entry = pg.hnsw_entry(&dc);
-            let res = beam_search(pg.base(), &dc, &[entry], 20, 10);
+            let entry = pg.hnsw_entry(&dc, &BudgetCtx::unlimited());
+            let res = beam_search(pg.base(), &dc, &[entry], 20, 10, &BudgetCtx::unlimited());
             let truth_ids: std::collections::HashSet<u32> = truth.iter().map(|&(_, i)| i).collect();
             let hit = res.ids().iter().filter(|i| truth_ids.contains(i)).count();
             total_recall += hit as f64 / 10.0;
@@ -491,7 +485,7 @@ mod tests {
         let pts_c = pts.clone();
         let qd = move |id: u32| (pts_c[id as usize] - q).abs();
         let dc = DistCache::new(&qd);
-        let entry = pg.hnsw_entry(&dc);
+        let entry = pg.hnsw_entry(&dc, &BudgetCtx::unlimited());
         // The selected entry should be much closer than a random node on
         // average.
         let entry_d = (pts[entry as usize] - q).abs();

@@ -14,6 +14,11 @@
 //! * [`faults`] — deterministic fault injection at the distance boundary
 //!   (`LAN_FAULTS`) with a retry-then-fallback recovery policy.
 //!
+//! Each router has one public entry — [`np_route`], [`beam_search`] and
+//! [`ProximityGraph::hnsw_entry`] — and each takes the query's
+//! [`BudgetCtx`]; a caller without a budget passes
+//! [`BudgetCtx::unlimited`].
+//!
 //! The Lemma 1 / Theorem 1 guarantees (same exploration sequence, same
 //! results, NDC no larger) are enforced by randomized property tests, and
 //! the budget layer adds its own: an unlimited budget is bit-identical to
@@ -25,7 +30,6 @@ pub mod faults;
 pub mod metric;
 pub mod np_route;
 pub mod pool;
-pub mod prefilter;
 pub mod routing;
 pub mod store;
 
@@ -33,8 +37,5 @@ pub use budget::{budgeted_get, budgeted_get_within, BudgetCtx, QueryBudget, Term
 pub use build::{brute_force_knn, PgConfig, ProximityGraph};
 pub use faults::{FaultMetrics, FaultPlan};
 pub use metric::{DistBound, DistCache, PairCache, PairDistance, QueryDistance};
-pub use np_route::{
-    np_route, np_route_budgeted, np_route_prefiltered, NeighborRanker, NoPruneRanker, OracleRanker,
-};
-pub use prefilter::{CandidatePrefilter, NeverSkip, OraclePrefilter};
-pub use routing::{beam_search, beam_search_budgeted, range_search, RouteResult};
+pub use np_route::{np_route, NeighborRanker, NoPruneRanker, OracleRanker};
+pub use routing::{beam_search, range_search, RouteResult};

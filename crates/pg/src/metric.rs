@@ -186,17 +186,6 @@ impl<'a> DistCache<'a> {
         self
     }
 
-    /// Notes a routing candidate the quantized prefilter skipped (a
-    /// distance computation that never ran) into the explain sink, if one
-    /// is attached. The router calls this next to the global
-    /// `quant.prefilter.pruned` counter.
-    #[inline]
-    pub fn note_quant_skip(&self) {
-        if let Some(t) = self.explain {
-            t.note_quant_skip();
-        }
-    }
-
     fn stripe(&self, id: u32) -> &Mutex<HashMap<u32, DistBound>> {
         &self.stripes[id as usize % STRIPES]
     }
@@ -626,12 +615,10 @@ mod tests {
         assert_eq!(cache.get_within(0, 5.0, 8.0), DistBound::Exact(9.0));
         // Silent peek refines note nothing either.
         assert_eq!(cache.peek(0), Some(9.0));
-        cache.note_quant_skip();
         let b = tiers.snapshot();
         assert_eq!(b.lb_prunes, 1);
         assert_eq!(b.full_solves, 2);
         assert_eq!(b.tau_aborts, 0);
-        assert_eq!(b.quant_skips, 1);
         assert_eq!(b.attributed(), cache.ndc() as u64);
     }
 

@@ -15,7 +15,6 @@
 use crate::budget::{budgeted_get, budgeted_get_within, BudgetCtx, Termination};
 use crate::metric::{DistBound, DistCache, QueryDistance};
 use crate::pool::{Pool, RouterState};
-use crate::prefilter::CandidatePrefilter;
 use crate::routing::{finish_route, RouteResult};
 use lan_obs::{names, trace, Counter};
 use std::collections::HashMap;
@@ -141,10 +140,6 @@ struct NpRouter<'a, R: NeighborRanker> {
     /// of the un-resized pool, so with `k > b` a candidate beyond the `b`
     /// kept entries could still surface there and gating must stay off.
     gating: bool,
-    /// Optional non-admissible candidate prefilter (the quantized tier) —
-    /// consulted before a distance computation once the pool gate is
-    /// finite; see [`crate::prefilter`] for the recall-safety argument.
-    prefilter: Option<&'a dyn CandidatePrefilter>,
     // Pre-resolved metric handles — increments on the routing hot loop are
     // single relaxed atomics, never registry lookups.
     m_hops: &'static Counter,
@@ -218,30 +213,6 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
         }
     }
 
-    /// Whether the prefilter tier says to skip computing `nb`'s distance
-    /// this round. Only fires when the skip is provably recoverable:
-    /// `tau = max(γ, gate)` must be finite (the pool is full, so the query
-    /// already has a complete candidate answer to fall back on) and the
-    /// candidate uncached (a cached answer is free and exact). Counted and
-    /// bounded by the prefilter implementation itself.
-    fn prefilter_skips(&self, nb: u32, gamma: f64) -> bool {
-        let Some(pf) = self.prefilter else {
-            return false;
-        };
-        let tau = gamma.max(self.gate);
-        if !tau.is_finite() || self.cache.peek_bound(nb).is_some() {
-            return false;
-        }
-        let skip = pf.predict_beyond(nb, tau);
-        if skip {
-            // Mirror the global `quant.prefilter.pruned` counter into the
-            // query's EXPLAIN tier sink (skip *events*, like the global
-            // counter — escalated-γ rounds may re-skip a candidate).
-            self.cache.note_quant_skip();
-        }
-        skip
-    }
-
     /// Resizes the pool and refreshes the cascade gate — every resize must
     /// go through here so the gate never lags the kept set.
     fn resize_pool(&mut self, b: usize) {
@@ -301,10 +272,9 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
                             farthest = farthest.max(d);
                         }
                     }
-                    // Opened neighbors have cached answers unless the
-                    // prefilter skipped them — an uncached member simply
-                    // contributes nothing to the farthest estimate
-                    // (conservative: scanning continues).
+                    // Opened neighbors always have cached answers (a budget
+                    // stop mid-batch ends the route); an uncached member
+                    // would contribute nothing (conservative).
                     None => {}
                 }
             }
@@ -318,13 +288,6 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             let mut hit = false;
             for i in 0..self.batch_scratch.len() {
                 let nb = self.batch_scratch[i];
-                // Quantized tier: a predicted-beyond candidate is treated
-                // like a certified threshold hit, with no computation and
-                // no cache entry (later rounds re-ask at a larger τ).
-                if self.prefilter_skips(nb, gamma) {
-                    hit = true;
-                    continue;
-                }
                 let Some(b) = self.try_get_within(nb, gamma) else {
                     return;
                 };
@@ -379,28 +342,10 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             for i in start..start + len {
                 let nb = self.rescan_scratch[i];
                 if !self.state.is_explored(nb) {
-                    // Members the quantized tier skipped earlier are not
-                    // cached — re-ask it under the escalated γ first.
-                    if self.prefilter_skips(nb, gamma) {
-                        hit = true;
-                        continue;
-                    }
-                    let b = if self.cache.peek_bound(nb).is_none() {
-                        // A previously-skipped member being evaluated for
-                        // the first time: charged to the budget like any
-                        // other miss.
-                        let Some(b) = self.try_get_within(nb, gamma) else {
-                            return;
-                        };
-                        b
-                    } else {
-                        // Cached (the batch was opened): the gated lookup
-                        // keeps a still-valid bound (counting the hit the
-                        // ungated run saw) or refines it to the exact
-                        // distance.
-                        self.cache.get_within(nb, gamma, self.gate)
-                    };
-                    match b {
+                    // Cached (the batch was opened): the gated lookup keeps
+                    // a still-valid bound (counting the hit the ungated run
+                    // saw) or refines it to the exact distance.
+                    match self.cache.get_within(nb, gamma, self.gate) {
                         DistBound::Exact(d) => {
                             self.w.add(nb, d);
                             if d >= gamma {
@@ -423,10 +368,6 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             let mut hit = false;
             for i in 0..self.batch_scratch.len() {
                 let nb = self.batch_scratch[i];
-                if self.prefilter_skips(nb, gamma) {
-                    hit = true;
-                    continue;
-                }
                 let Some(b) = self.try_get_within(nb, gamma) else {
                     return;
                 };
@@ -456,7 +397,13 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
 /// * `entries` — initial node(s);
 /// * `b` — beam (pool) size; `k` — answer count; `ds` — the γ step size
 ///   (must be positive; the paper uses the distance granularity, 1 for
-///   unit-cost GED).
+///   unit-cost GED);
+/// * `ctx` — the query budget ([`BudgetCtx::unlimited`] for none). An
+///   unlimited budget changes nothing, bit for bit. On exhaustion — NDC
+///   cap, deadline, hop cap, or a sibling shard's cancellation — the
+///   routing unwinds and returns the best-so-far pool tagged with the
+///   bound that fired. Never panics, never errors.
+#[allow(clippy::too_many_arguments)]
 pub fn np_route<R: NeighborRanker>(
     adj: &[Vec<u32>],
     cache: &DistCache<'_>,
@@ -465,54 +412,7 @@ pub fn np_route<R: NeighborRanker>(
     b: usize,
     k: usize,
     ds: f64,
-) -> RouteResult {
-    np_route_budgeted(
-        adj,
-        cache,
-        ranker,
-        entries,
-        b,
-        k,
-        ds,
-        &BudgetCtx::unlimited(),
-    )
-}
-
-/// Algorithm 2 under a query budget: identical to [`np_route`] while the
-/// budget holds (bit-identical with an unlimited one). On exhaustion —
-/// NDC cap, deadline, hop cap, or a sibling shard's cancellation — the
-/// routing unwinds and returns the best-so-far pool tagged with the bound
-/// that fired. Never panics, never errors.
-#[allow(clippy::too_many_arguments)]
-pub fn np_route_budgeted<R: NeighborRanker>(
-    adj: &[Vec<u32>],
-    cache: &DistCache<'_>,
-    ranker: &R,
-    entries: &[u32],
-    b: usize,
-    k: usize,
-    ds: f64,
     ctx: &BudgetCtx,
-) -> RouteResult {
-    np_route_prefiltered(adj, cache, ranker, entries, b, k, ds, ctx, None)
-}
-
-/// [`np_route_budgeted`] with an optional quantized-tier candidate
-/// prefilter. `None` is bit-identical to the unprefiltered router; with a
-/// prefilter, candidates it predicts beyond `max(γ, pool gate)` are
-/// skipped without a distance computation (see [`crate::prefilter`] for
-/// the recall-safety argument and property tests).
-#[allow(clippy::too_many_arguments)]
-pub fn np_route_prefiltered<R: NeighborRanker>(
-    adj: &[Vec<u32>],
-    cache: &DistCache<'_>,
-    ranker: &R,
-    entries: &[u32],
-    b: usize,
-    k: usize,
-    ds: f64,
-    ctx: &BudgetCtx,
-    prefilter: Option<&dyn CandidatePrefilter>,
 ) -> RouteResult {
     assert!(b >= 1, "beam size must be at least 1");
     assert!(ds > 0.0, "gamma step must be positive");
@@ -530,7 +430,6 @@ pub fn np_route_prefiltered<R: NeighborRanker>(
         state: RouterState::new(),
         gate: f64::INFINITY,
         gating: k <= b,
-        prefilter,
         m_hops: lan_obs::counter(names::ROUTE_HOPS),
         m_opened: lan_obs::counter(names::ROUTE_BATCHES_OPENED),
         m_prunes: lan_obs::counter(names::ROUTE_GAMMA_PRUNES),
@@ -617,10 +516,19 @@ mod tests {
     ) -> (RouteResult, RouteResult) {
         let f = |id: u32| dists[id as usize];
         let cache_bs = DistCache::new(&f);
-        let bs = beam_search(adj, &cache_bs, &[entry], b, k);
+        let bs = beam_search(adj, &cache_bs, &[entry], b, k, &BudgetCtx::unlimited());
         let cache_np = DistCache::new(&f);
         let oracle = OracleRanker::new(&f, y);
-        let np = np_route(adj, &cache_np, &oracle, &[entry], b, k, 1.0);
+        let np = np_route(
+            adj,
+            &cache_np,
+            &oracle,
+            &[entry],
+            b,
+            k,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         (bs, np)
     }
 
@@ -786,9 +694,18 @@ mod tests {
         let dists: Vec<f64> = (0..20).map(|_| rng.gen_range(0..10) as f64).collect();
         let f = |id: u32| dists[id as usize];
         let cache_bs = DistCache::new(&f);
-        let bs = beam_search(&adj, &cache_bs, &[0], 3, 2);
+        let bs = beam_search(&adj, &cache_bs, &[0], 3, 2, &BudgetCtx::unlimited());
         let cache_np = DistCache::new(&f);
-        let np = np_route(&adj, &cache_np, &NoPruneRanker, &[0], 3, 2, 1.0);
+        let np = np_route(
+            &adj,
+            &cache_np,
+            &NoPruneRanker,
+            &[0],
+            3,
+            2,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         assert_eq!(bs.results, np.results);
         assert_eq!(bs.ndc, np.ndc);
     }
@@ -838,7 +755,16 @@ mod tests {
         let f = |_: u32| 4.0;
         let cache = DistCache::new(&f);
         let oracle = OracleRanker::new(&f, 20);
-        let r = np_route(&adj, &cache, &oracle, &[0], 2, 1, 1.0);
+        let r = np_route(
+            &adj,
+            &cache,
+            &oracle,
+            &[0],
+            2,
+            1,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         assert_eq!(r.results, vec![(4.0, 0)]);
         assert_eq!(r.ndc, 1);
         assert_eq!(r.termination, Termination::Converged);
@@ -852,7 +778,16 @@ mod tests {
         let f = |id: u32| 1.0 + id as f64;
         let cache = DistCache::new(&f);
         let oracle = OracleRanker::new(&f, 20);
-        let r = np_route(&adj, &cache, &oracle, &[0], 3, 2, 1.0);
+        let r = np_route(
+            &adj,
+            &cache,
+            &oracle,
+            &[0],
+            3,
+            2,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         assert_eq!(r.results, vec![(1.0, 0)]);
         assert_eq!(r.termination, Termination::Converged);
     }
@@ -864,7 +799,16 @@ mod tests {
         let f = |id: u32| id as f64;
         let cache = DistCache::new(&f);
         let oracle = OracleRanker::new(&f, 20);
-        let r = np_route(&adj, &cache, &oracle, &[], 2, 1, 1.0);
+        let r = np_route(
+            &adj,
+            &cache,
+            &oracle,
+            &[],
+            2,
+            1,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         assert!(r.results.is_empty());
         assert_eq!(r.ndc, 0);
         assert_eq!(r.termination, Termination::Converged);
@@ -880,13 +824,22 @@ mod tests {
         let oracle = OracleRanker::new(&f, 20);
 
         let free_cache = DistCache::new(&f);
-        let free = np_route(&adj, &free_cache, &oracle, &[0], 3, 2, 1.0);
+        let free = np_route(
+            &adj,
+            &free_cache,
+            &oracle,
+            &[0],
+            3,
+            2,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         assert_eq!(free.termination, Termination::Converged);
 
         // A cap at least the unlimited NDC changes nothing, bit for bit.
         let ctx = BudgetCtx::new(&QueryBudget::default().with_max_ndc(free.ndc));
         let cache = DistCache::new(&f);
-        let same = np_route_budgeted(&adj, &cache, &oracle, &[0], 3, 2, 1.0, &ctx);
+        let same = np_route(&adj, &cache, &oracle, &[0], 3, 2, 1.0, &ctx);
         assert_eq!(free.results, same.results);
         assert_eq!(free.ndc, same.ndc);
         assert_eq!(free.exploration_order, same.exploration_order);
@@ -896,7 +849,7 @@ mod tests {
         for cap in 1..free.ndc {
             let ctx = BudgetCtx::new(&QueryBudget::default().with_max_ndc(cap));
             let cache = DistCache::new(&f);
-            let r = np_route_budgeted(&adj, &cache, &oracle, &[0], 3, 2, 1.0, &ctx);
+            let r = np_route(&adj, &cache, &oracle, &[0], 3, 2, 1.0, &ctx);
             assert!(r.ndc <= cap, "cap {cap}: ndc {}", r.ndc);
             assert_eq!(r.termination, Termination::NdcBudget, "cap {cap}");
         }

@@ -56,22 +56,12 @@ pub(crate) fn finish_route(
 }
 
 /// Algorithm 1: beam search over the base-layer adjacency `adj` from the
-/// given entry nodes.
+/// given entry nodes, under the query budget `ctx`
+/// ([`BudgetCtx::unlimited`] for none). An unlimited budget changes
+/// nothing, bit for bit; on exhaustion the walk stops and the best-so-far
+/// pool is returned, tagged with the bound that fired. Never panics, never
+/// errors.
 pub fn beam_search(
-    adj: &[Vec<u32>],
-    cache: &DistCache<'_>,
-    entries: &[u32],
-    b: usize,
-    k: usize,
-) -> RouteResult {
-    beam_search_budgeted(adj, cache, entries, b, k, &BudgetCtx::unlimited())
-}
-
-/// Algorithm 1 under a query budget: identical to [`beam_search`] while
-/// the budget holds (bit-identical with an unlimited one); on exhaustion
-/// the walk stops and the best-so-far pool is returned, tagged with the
-/// bound that fired. Never panics, never errors.
-pub fn beam_search_budgeted(
     adj: &[Vec<u32>],
     cache: &DistCache<'_>,
     entries: &[u32],
@@ -152,7 +142,7 @@ mod tests {
         let adj = path_adj();
         let dist = |id: u32| (4 - id) as f64;
         let cache = DistCache::new(&dist);
-        let r = beam_search(&adj, &cache, &[0], 2, 1);
+        let r = beam_search(&adj, &cache, &[0], 2, 1, &BudgetCtx::unlimited());
         assert_eq!(r.results[0], (0.0, 4));
         // Every node on the way gets its distance computed.
         assert_eq!(r.ndc, 5);
@@ -166,11 +156,11 @@ mod tests {
         let d = [3.0, 1.0, 5.0, 4.0, 0.0];
         let dist = |id: u32| d[id as usize];
         let cache = DistCache::new(&dist);
-        let r = beam_search(&adj, &cache, &[0], 1, 1);
+        let r = beam_search(&adj, &cache, &[0], 1, 1, &BudgetCtx::unlimited());
         assert_eq!(r.results[0].1, 1, "b=1 should stop at the local optimum");
         // A wider beam escapes.
         let cache2 = DistCache::new(&dist);
-        let r2 = beam_search(&adj, &cache2, &[0], 3, 1);
+        let r2 = beam_search(&adj, &cache2, &[0], 3, 1, &BudgetCtx::unlimited());
         assert_eq!(r2.results[0].1, 4);
     }
 
@@ -179,7 +169,7 @@ mod tests {
         let adj = path_adj();
         let dist = |id: u32| (4 - id) as f64;
         let cache = DistCache::new(&dist);
-        let r = beam_search(&adj, &cache, &[0], 5, 3);
+        let r = beam_search(&adj, &cache, &[0], 5, 3, &BudgetCtx::unlimited());
         assert_eq!(r.ids(), vec![4, 3, 2]);
         assert!(r.results.windows(2).all(|p| p[0].0 <= p[1].0));
     }
@@ -189,7 +179,7 @@ mod tests {
         let adj = path_adj();
         let dist = |id: u32| (4 - id) as f64;
         let cache = DistCache::new(&dist);
-        let r = beam_search(&adj, &cache, &[0, 4], 2, 1);
+        let r = beam_search(&adj, &cache, &[0, 4], 2, 1, &BudgetCtx::unlimited());
         assert_eq!(r.results[0].1, 4);
     }
 
@@ -198,7 +188,7 @@ mod tests {
         let adj = path_adj();
         let dist = |id: u32| (4 - id) as f64;
         let cache = DistCache::new(&dist);
-        let r = beam_search(&adj, &cache, &[0], 2, 1);
+        let r = beam_search(&adj, &cache, &[0], 2, 1, &BudgetCtx::unlimited());
         assert_eq!(r.exploration_order[0], 0);
         assert_eq!(*r.exploration_order.last().unwrap(), 4);
     }
@@ -208,7 +198,7 @@ mod tests {
         let adj = vec![vec![]];
         let dist = |_: u32| 7.0;
         let cache = DistCache::new(&dist);
-        let r = beam_search(&adj, &cache, &[0], 2, 1);
+        let r = beam_search(&adj, &cache, &[0], 2, 1, &BudgetCtx::unlimited());
         assert_eq!(r.results, vec![(7.0, 0)]);
         assert_eq!(r.termination, crate::budget::Termination::Converged);
     }
@@ -219,10 +209,10 @@ mod tests {
         let adj = path_adj();
         let dist = |id: u32| (4 - id) as f64;
         let c1 = DistCache::new(&dist);
-        let free = beam_search(&adj, &c1, &[0], 2, 2);
+        let free = beam_search(&adj, &c1, &[0], 2, 2, &BudgetCtx::unlimited());
         let c2 = DistCache::new(&dist);
         let ctx = BudgetCtx::new(&QueryBudget::default().with_max_ndc(1000));
-        let capped = beam_search_budgeted(&adj, &c2, &[0], 2, 2, &ctx);
+        let capped = beam_search(&adj, &c2, &[0], 2, 2, &ctx);
         assert_eq!(free.results, capped.results);
         assert_eq!(free.ndc, capped.ndc);
         assert_eq!(free.exploration_order, capped.exploration_order);
@@ -237,7 +227,7 @@ mod tests {
         for cap in 1..5 {
             let cache = DistCache::new(&dist);
             let ctx = BudgetCtx::new(&QueryBudget::default().with_max_ndc(cap));
-            let r = beam_search_budgeted(&adj, &cache, &[0], 2, 1, &ctx);
+            let r = beam_search(&adj, &cache, &[0], 2, 1, &ctx);
             assert!(r.ndc <= cap, "cap {cap}: ndc {} over budget", r.ndc);
             assert_eq!(r.termination, Termination::NdcBudget);
             assert!(!r.results.is_empty(), "best-so-far results expected");
@@ -245,7 +235,7 @@ mod tests {
         // The full walk needs 5 computations; a cap of 5 converges.
         let cache = DistCache::new(&dist);
         let ctx = BudgetCtx::new(&QueryBudget::default().with_max_ndc(5));
-        let r = beam_search_budgeted(&adj, &cache, &[0], 2, 1, &ctx);
+        let r = beam_search(&adj, &cache, &[0], 2, 1, &ctx);
         assert_eq!(r.termination, Termination::Converged);
         assert_eq!(r.results[0], (0.0, 4));
     }
@@ -257,7 +247,7 @@ mod tests {
         let dist = |id: u32| (4 - id) as f64;
         let cache = DistCache::new(&dist);
         let ctx = BudgetCtx::new(&QueryBudget::default().with_max_hops(2));
-        let r = beam_search_budgeted(&adj, &cache, &[0], 2, 1, &ctx);
+        let r = beam_search(&adj, &cache, &[0], 2, 1, &ctx);
         assert_eq!(r.exploration_order.len(), 2);
         assert_eq!(r.termination, Termination::Degraded);
         assert!(!r.results.is_empty());

@@ -11,10 +11,10 @@
 //! bound-returning oracle against the plain closure oracle and compare
 //! everything.
 
-use lan_pg::np_route::{np_route, np_route_budgeted, NoPruneRanker, OracleRanker};
+use lan_pg::np_route::{np_route, NoPruneRanker, OracleRanker};
 use lan_pg::{
-    beam_search, beam_search_budgeted, BudgetCtx, DistBound, DistCache, PairCache, PgConfig,
-    ProximityGraph, QueryBudget, QueryDistance,
+    beam_search, BudgetCtx, DistBound, DistCache, PairCache, PgConfig, ProximityGraph, QueryBudget,
+    QueryDistance,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -141,9 +141,9 @@ proptest! {
 
         // Algorithm 1 (beam search).
         let c1 = DistCache::new(&f);
-        let bs_seed = beam_search(&adj, &c1, &[entry], b, k);
+        let bs_seed = beam_search(&adj, &c1, &[entry], b, k, &BudgetCtx::unlimited());
         let c2 = DistCache::new(&gated);
-        let bs_gated = beam_search(&adj, &c2, &[entry], b, k);
+        let bs_gated = beam_search(&adj, &c2, &[entry], b, k, &BudgetCtx::unlimited());
         assert_same_route(&bs_seed, &bs_gated, "beam_search");
         prop_assert_eq!(c1.hits(), c2.hits(), "beam_search hits");
         prop_assert!(gated.full_evals.load(Ordering::Relaxed) <= bs_seed.ndc);
@@ -151,19 +151,19 @@ proptest! {
         // Algorithms 2-4 (np_route, oracle ranker).
         let oracle = OracleRanker::new(&f, y);
         let c3 = DistCache::new(&f);
-        let np_seed = np_route(&adj, &c3, &oracle, &[entry], b, k, 1.0);
+        let np_seed = np_route(&adj, &c3, &oracle, &[entry], b, k, 1.0, &BudgetCtx::unlimited());
         let gated2 = BoundOracle::new(&dists, slack, tightness);
         let c4 = DistCache::new(&gated2);
-        let np_gated = np_route(&adj, &c4, &oracle, &[entry], b, k, 1.0);
+        let np_gated = np_route(&adj, &c4, &oracle, &[entry], b, k, 1.0, &BudgetCtx::unlimited());
         assert_same_route(&np_seed, &np_gated, "np_route");
         prop_assert_eq!(c3.hits(), c4.hits(), "np_route hits");
 
         // NoPruneRanker (baseline-degenerate np_route).
         let c5 = DistCache::new(&f);
-        let nop_seed = np_route(&adj, &c5, &NoPruneRanker, &[entry], b, k, 1.0);
+        let nop_seed = np_route(&adj, &c5, &NoPruneRanker, &[entry], b, k, 1.0, &BudgetCtx::unlimited());
         let gated3 = BoundOracle::new(&dists, slack, tightness);
         let c6 = DistCache::new(&gated3);
-        let nop_gated = np_route(&adj, &c6, &NoPruneRanker, &[entry], b, k, 1.0);
+        let nop_gated = np_route(&adj, &c6, &NoPruneRanker, &[entry], b, k, 1.0, &BudgetCtx::unlimited());
         assert_same_route(&nop_seed, &nop_gated, "np_route/noprune");
         prop_assert_eq!(c5.hits(), c6.hits(), "np_route/noprune hits");
     }
@@ -185,27 +185,27 @@ proptest! {
         let oracle = OracleRanker::new(&f, 20);
 
         let free_cache = DistCache::new(&f);
-        let free = np_route(&adj, &free_cache, &oracle, &[entry], b, 2, 1.0);
+        let free = np_route(&adj, &free_cache, &oracle, &[entry], b, 2, 1.0, &BudgetCtx::unlimited());
 
         for cap in (1..=free.ndc).step_by(2) {
             let ctx_s = BudgetCtx::new(&QueryBudget::default().with_max_ndc(cap));
             let cs = DistCache::new(&f);
-            let rs = np_route_budgeted(&adj, &cs, &oracle, &[entry], b, 2, 1.0, &ctx_s);
+            let rs = np_route(&adj, &cs, &oracle, &[entry], b, 2, 1.0, &ctx_s);
 
             let gated = BoundOracle::new(&dists, slack, 1.0);
             let ctx_g = BudgetCtx::new(&QueryBudget::default().with_max_ndc(cap));
             let cg = DistCache::new(&gated);
-            let rg = np_route_budgeted(&adj, &cg, &oracle, &[entry], b, 2, 1.0, &ctx_g);
-            assert_same_route(&rs, &rg, "np_route_budgeted");
+            let rg = np_route(&adj, &cg, &oracle, &[entry], b, 2, 1.0, &ctx_g);
+            assert_same_route(&rs, &rg, "np_route budgeted");
 
             let ctx_s2 = BudgetCtx::new(&QueryBudget::default().with_max_ndc(cap));
             let cs2 = DistCache::new(&f);
-            let bs = beam_search_budgeted(&adj, &cs2, &[entry], b, 2, &ctx_s2);
+            let bs = beam_search(&adj, &cs2, &[entry], b, 2, &ctx_s2);
             let gated2 = BoundOracle::new(&dists, slack, 1.0);
             let ctx_g2 = BudgetCtx::new(&QueryBudget::default().with_max_ndc(cap));
             let cg2 = DistCache::new(&gated2);
-            let bg = beam_search_budgeted(&adj, &cg2, &[entry], b, 2, &ctx_g2);
-            assert_same_route(&bs, &bg, "beam_search_budgeted");
+            let bg = beam_search(&adj, &cg2, &[entry], b, 2, &ctx_g2);
+            assert_same_route(&bs, &bg, "beam_search budgeted");
         }
     }
 }
@@ -225,11 +225,11 @@ fn gated_hnsw_entry_descent_is_bit_identical() {
         let qdists: Vec<f64> = pts.iter().map(|p| (p - q).abs()).collect();
         let f = |id: u32| qdists[id as usize];
         let c1 = DistCache::new(&f);
-        let e_seed = pg.hnsw_entry(&c1);
+        let e_seed = pg.hnsw_entry(&c1, &BudgetCtx::unlimited());
         for (slack, tightness) in [(0.0, 1.0), (1.0, 1.0), (0.0, 0.5)] {
             let gated = BoundOracle::new(&qdists, slack, tightness);
             let c2 = DistCache::new(&gated);
-            let e_gated = pg.hnsw_entry(&c2);
+            let e_gated = pg.hnsw_entry(&c2, &BudgetCtx::unlimited());
             assert_eq!(e_seed, e_gated, "entry node");
             assert_eq!(c1.ndc(), c2.ndc(), "descent NDC");
             assert_eq!(c1.hits(), c2.hits(), "descent hits");
@@ -251,11 +251,11 @@ fn tight_bounds_actually_save_full_evals() {
         .collect();
     let f = |id: u32| dists[id as usize];
     let c1 = DistCache::new(&f);
-    let seed_route = beam_search(&adj, &c1, &[0], 4, 3);
+    let seed_route = beam_search(&adj, &c1, &[0], 4, 3, &BudgetCtx::unlimited());
 
     let gated = BoundOracle::new(&dists, 0.0, 1.0);
     let c2 = DistCache::new(&gated);
-    let gated_route = beam_search(&adj, &c2, &[0], 4, 3);
+    let gated_route = beam_search(&adj, &c2, &[0], 4, 3, &BudgetCtx::unlimited());
     assert_same_route(&seed_route, &gated_route, "structured beam_search");
 
     let full = gated.full_evals.load(Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! Edge cases of the routing layer: disconnection, tiny pools, oversized k.
 
 use lan_pg::np_route::{np_route, OracleRanker};
-use lan_pg::{beam_search, DistCache};
+use lan_pg::{beam_search, BudgetCtx, DistCache};
 
 #[test]
 fn disconnected_component_unreachable() {
@@ -11,12 +11,21 @@ fn disconnected_component_unreachable() {
     let d = [5.0, 4.0, 0.0, 1.0];
     let f = |id: u32| d[id as usize];
     let cache = DistCache::new(&f);
-    let r = beam_search(&adj, &cache, &[0], 4, 2);
+    let r = beam_search(&adj, &cache, &[0], 4, 2, &BudgetCtx::unlimited());
     assert_eq!(r.ids(), vec![1, 0]);
 
     let cache2 = DistCache::new(&f);
     let oracle = OracleRanker::new(&f, 20);
-    let r2 = np_route(&adj, &cache2, &oracle, &[0], 4, 2, 1.0);
+    let r2 = np_route(
+        &adj,
+        &cache2,
+        &oracle,
+        &[0],
+        4,
+        2,
+        1.0,
+        &BudgetCtx::unlimited(),
+    );
     assert_eq!(r2.ids(), vec![1, 0]);
 }
 
@@ -25,7 +34,7 @@ fn k_larger_than_reachable_set() {
     let adj: Vec<Vec<u32>> = vec![vec![1], vec![0]];
     let f = |id: u32| id as f64;
     let cache = DistCache::new(&f);
-    let r = beam_search(&adj, &cache, &[0], 10, 5);
+    let r = beam_search(&adj, &cache, &[0], 10, 5, &BudgetCtx::unlimited());
     assert_eq!(r.results.len(), 2, "cannot return more than reachable");
 }
 
@@ -34,7 +43,7 @@ fn beam_smaller_than_k_returns_beam_many() {
     let adj: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![0], vec![0], vec![0]];
     let f = |id: u32| id as f64;
     let cache = DistCache::new(&f);
-    let r = beam_search(&adj, &cache, &[0], 2, 4);
+    let r = beam_search(&adj, &cache, &[0], 2, 4, &BudgetCtx::unlimited());
     assert!(r.results.len() <= 2, "pool size bounds the result count");
 }
 
@@ -43,7 +52,7 @@ fn duplicate_entries_are_deduplicated() {
     let adj: Vec<Vec<u32>> = vec![vec![1], vec![0]];
     let f = |id: u32| id as f64;
     let cache = DistCache::new(&f);
-    let r = beam_search(&adj, &cache, &[0, 0, 0], 4, 2);
+    let r = beam_search(&adj, &cache, &[0, 0, 0], 4, 2, &BudgetCtx::unlimited());
     assert_eq!(r.ids(), vec![0, 1]);
     assert_eq!(r.ndc, 2);
 }
@@ -57,7 +66,16 @@ fn np_route_zero_distance_entry() {
     let f = |id: u32| d[id as usize];
     let cache = DistCache::new(&f);
     let oracle = OracleRanker::new(&f, 50);
-    let r = np_route(&adj, &cache, &oracle, &[0], 3, 3, 1.0);
+    let r = np_route(
+        &adj,
+        &cache,
+        &oracle,
+        &[0],
+        3,
+        3,
+        1.0,
+        &BudgetCtx::unlimited(),
+    );
     assert_eq!(r.ids(), vec![0, 1, 2]);
 }
 
@@ -68,7 +86,16 @@ fn np_route_rejects_zero_step() {
     let f = |_: u32| 0.0;
     let cache = DistCache::new(&f);
     let oracle = OracleRanker::new(&f, 20);
-    let _ = np_route(&adj, &cache, &oracle, &[0], 1, 1, 0.0);
+    let _ = np_route(
+        &adj,
+        &cache,
+        &oracle,
+        &[0],
+        1,
+        1,
+        0.0,
+        &BudgetCtx::unlimited(),
+    );
 }
 
 #[test]
@@ -77,5 +104,5 @@ fn beam_search_rejects_zero_beam() {
     let adj: Vec<Vec<u32>> = vec![vec![]];
     let f = |_: u32| 0.0;
     let cache = DistCache::new(&f);
-    let _ = beam_search(&adj, &cache, &[0], 0, 1);
+    let _ = beam_search(&adj, &cache, &[0], 0, 1, &BudgetCtx::unlimited());
 }

@@ -3,7 +3,9 @@
 //! point sets.
 
 use lan_pg::np_route::{np_route, NoPruneRanker, OracleRanker};
-use lan_pg::{beam_search, brute_force_knn, DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_pg::{
+    beam_search, brute_force_knn, BudgetCtx, DistCache, PairCache, PgConfig, ProximityGraph,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,16 +55,16 @@ proptest! {
 
         let f = |id: u32| dists[id as usize];
         let c1 = DistCache::new(&f);
-        let bs = beam_search(&adj, &c1, &entries, b, k);
+        let bs = beam_search(&adj, &c1, &entries, b, k, &BudgetCtx::unlimited());
         let c2 = DistCache::new(&f);
         let oracle = OracleRanker::new(&f, y);
-        let np = np_route(&adj, &c2, &oracle, &entries, b, k, 1.0);
+        let np = np_route(&adj, &c2, &oracle, &entries, b, k, 1.0, &BudgetCtx::unlimited());
         prop_assert_eq!(&bs.results, &np.results);
         prop_assert!(np.ndc <= bs.ndc, "np {} > bs {}", np.ndc, bs.ndc);
 
         // NoPrune degenerates to the baseline exactly.
         let c3 = DistCache::new(&f);
-        let nop = np_route(&adj, &c3, &NoPruneRanker, &entries, b, k, 1.0);
+        let nop = np_route(&adj, &c3, &NoPruneRanker, &entries, b, k, 1.0, &BudgetCtx::unlimited());
         prop_assert_eq!(&nop.results, &bs.results);
         prop_assert_eq!(nop.ndc, bs.ndc);
     }
@@ -79,10 +81,10 @@ proptest! {
         dists.shuffle(&mut rng);
         let f = |id: u32| dists[id as usize];
         let c1 = DistCache::new(&f);
-        let bs = beam_search(&adj, &c1, &[0], 4, 2);
+        let bs = beam_search(&adj, &c1, &[0], 4, 2, &BudgetCtx::unlimited());
         let c2 = DistCache::new(&f);
         let oracle = OracleRanker::new(&f, 20);
-        let np = np_route(&adj, &c2, &oracle, &[0], 4, 2, ds);
+        let np = np_route(&adj, &c2, &oracle, &[0], 4, 2, ds, &BudgetCtx::unlimited());
         prop_assert_eq!(bs.results, np.results, "ds = {}", ds);
     }
 }
@@ -108,8 +110,8 @@ fn index_recall_scales_with_beam() {
             let qd = move |id: u32| (pts_c[id as usize] - q).abs();
             let truth = brute_force_knn(n, &qd, 10);
             let dc = DistCache::new(&qd);
-            let entry = pg.hnsw_entry(&dc);
-            let res = beam_search(pg.base(), &dc, &[entry], b, 10);
+            let entry = pg.hnsw_entry(&dc, &BudgetCtx::unlimited());
+            let res = beam_search(pg.base(), &dc, &[entry], b, 10, &BudgetCtx::unlimited());
             let t_ids: std::collections::HashSet<u32> = truth.iter().map(|&(_, i)| i).collect();
             total += res.ids().iter().filter(|i| t_ids.contains(i)).count() as f64 / 10.0;
         }
@@ -140,12 +142,21 @@ fn oracle_route_on_point_index_saves_ndc() {
         let pts_c = pts.clone();
         let qd = move |id: u32| (pts_c[id as usize] - q).abs();
         let dc1 = DistCache::new(&qd);
-        let entry = pg.hnsw_entry(&dc1);
-        let bs = beam_search(pg.base(), &dc1, &[entry], 20, 10);
+        let entry = pg.hnsw_entry(&dc1, &BudgetCtx::unlimited());
+        let bs = beam_search(pg.base(), &dc1, &[entry], 20, 10, &BudgetCtx::unlimited());
         let dc2 = DistCache::new(&qd);
-        let entry2 = pg.hnsw_entry(&dc2);
+        let entry2 = pg.hnsw_entry(&dc2, &BudgetCtx::unlimited());
         let oracle = OracleRanker::new(&qd, 20);
-        let np = np_route(pg.base(), &dc2, &oracle, &[entry2], 20, 10, 1.0);
+        let np = np_route(
+            pg.base(),
+            &dc2,
+            &oracle,
+            &[entry2],
+            20,
+            10,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         assert_eq!(
             bs.results.iter().map(|r| r.0).collect::<Vec<_>>(),
             np.results.iter().map(|r| r.0).collect::<Vec<_>>()

@@ -462,8 +462,26 @@ fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
     }
 }
 
+/// Why the learned models cannot embed `g`, if they cannot: a graph with
+/// no nodes, or a node label outside the index's label alphabet. Either
+/// would panic inside a shard worker (see `LanIndex::search`), so such a
+/// query is answered with a typed error before admission.
+fn unsearchable(index: &ShardedLanIndex, g: &Graph) -> Option<String> {
+    let num_labels = index.shards[0].models.num_labels;
+    if g.node_count() == 0 {
+        return Some("query graph has no nodes".into());
+    }
+    g.labels()
+        .iter()
+        .find(|&&l| l as usize >= num_labels)
+        .map(|l| format!("query label {l} out of range (the index has {num_labels} labels)"))
+}
+
 /// Admission → enqueue on every shard → wait → merge (or typed shed).
 fn handle_search(inner: &Arc<ServerInner>, req: crate::proto::SearchRequest) -> String {
+    if let Some(reason) = unsearchable(&inner.index, &req.graph) {
+        return render_error(&reason);
+    }
     inner.metrics.requests.inc();
     let _token = match inner.admission.try_admit(&req.tenant) {
         Ok(t) => t,

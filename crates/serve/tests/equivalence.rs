@@ -162,13 +162,11 @@ fn explain_attribution_crosses_the_wire() {
         let tiers = ex.get("tiers").expect("tiers object");
         assert_eq!(
             (
-                serial_ex.tiers.quant_skips,
                 serial_ex.tiers.lb_prunes,
                 serial_ex.tiers.tau_aborts,
                 serial_ex.tiers.full_solves
             ),
             (
-                num(tiers, "quant_skips"),
                 num(tiers, "lb_prunes"),
                 num(tiers, "tau_aborts"),
                 num(tiers, "full_solves")
@@ -209,16 +207,48 @@ fn zero_deadline_sheds_with_typed_overloaded() {
 }
 
 /// Malformed frames get a typed `error` response and the connection
-/// survives for the next (valid) request.
+/// survives for the next (valid) request. That includes query graphs the
+/// learned models cannot embed — no nodes, or a label outside the index's
+/// alphabet — which must never reach a shard worker.
 #[test]
 fn malformed_request_gets_typed_error() {
-    use lan_serve::proto::{parse_response, read_frame, write_frame};
-    let handle = boot(2, Duration::from_micros(100), 8);
+    use lan_serve::proto::{parse_response, read_frame, render_search_request, write_frame};
+    // Never dropped on failure: a handler stuck on a lost shard answer
+    // would make the drop's thread join hang instead of failing the test.
+    let handle = std::mem::ManuallyDrop::new(boot(2, Duration::from_micros(100), 8));
+    let ds = dataset();
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    write_frame(&mut stream, b"{\"op\":\"fly\"}").unwrap();
-    let frame = read_frame(&mut stream).unwrap().expect("response frame");
-    let resp = parse_response(std::str::from_utf8(&frame).unwrap()).unwrap();
+    // A server that never answers fails the test instead of stalling it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut roundtrip = |payload: &str| {
+        write_frame(&mut stream, payload.as_bytes()).unwrap();
+        let frame = read_frame(&mut stream)
+            .expect("response within the read timeout")
+            .expect("response frame");
+        parse_response(std::str::from_utf8(&frame).unwrap()).unwrap()
+    };
+    let resp = roundtrip("{\"op\":\"fly\"}");
     assert!(matches!(resp, Response::Error { .. }), "got {resp:?}");
+
+    let valid = render_search_request(&SearchCall::new(&ds.queries[0], 4, 8, 0));
+    let bad_label = ds.spec.num_labels;
+    for bad in [
+        "{\"op\":\"search\",\"k\":4,\"b\":8,\"labels\":[],\"edges\":[]}".to_string(),
+        format!(
+            "{{\"op\":\"search\",\"k\":4,\"b\":8,\"labels\":[0,{bad_label}],\"edges\":[[0,1]]}}"
+        ),
+    ] {
+        let resp = roundtrip(&bad);
+        assert!(
+            matches!(resp, Response::Error { .. }),
+            "{bad}: got {resp:?}"
+        );
+        let resp = roundtrip(&valid);
+        assert!(matches!(resp, Response::Ok(_)), "after {bad}: got {resp:?}");
+    }
+    std::mem::ManuallyDrop::into_inner(handle).shutdown();
 }
 
 /// Ping, a Prometheus scrape on the query port, and a client-initiated

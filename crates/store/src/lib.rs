@@ -1,8 +1,8 @@
 //! The on-disk container format for LAN index artifacts.
 //!
 //! Every build artifact the workspace can persist — graph database with
-//! cached signatures, proximity-graph adjacency, trained weight matrices,
-//! quantized code books — is written into one file laid out as:
+//! cached signatures, proximity-graph adjacency, trained weight matrices —
+//! is written into one file laid out as:
 //!
 //! ```text
 //! superblock   magic "LANSTOR\0" · format version · section count
@@ -45,7 +45,10 @@ pub const MAGIC: [u8; 8] = *b"LANSTOR\0";
 /// Current container format version. Bump on any layout change; readers
 /// reject other versions with [`StoreError::BadVersion`] (see DESIGN.md's
 /// compat policy: the format is versioned, not self-migrating).
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 dropped the quantized code books from the models section and
+/// the quantizer mode and margin from the index config.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section payload alignment within the file (and, because the read
 /// buffer is 8-byte aligned, within memory after a load).
@@ -677,14 +680,18 @@ mod tests {
 
     #[test]
     fn wrong_version_is_typed() {
-        let mut bytes = sample_writer().to_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        match Archive::from_bytes(&bytes) {
-            Err(StoreError::BadVersion { found, expected }) => {
-                assert_eq!(found, 99);
-                assert_eq!(expected, FORMAT_VERSION);
+        // Version 1 is the layout that still carried quantized codes.
+        assert_eq!(FORMAT_VERSION, 2);
+        for bad in [1u32, 99] {
+            let mut bytes = sample_writer().to_bytes();
+            bytes[8..12].copy_from_slice(&bad.to_le_bytes());
+            match Archive::from_bytes(&bytes) {
+                Err(StoreError::BadVersion { found, expected }) => {
+                    assert_eq!(found, bad);
+                    assert_eq!(expected, FORMAT_VERSION);
+                }
+                other => panic!("expected BadVersion, got {:?}", other.err()),
             }
-            other => panic!("expected BadVersion, got {:?}", other.err()),
         }
     }
 

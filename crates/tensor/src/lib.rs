@@ -12,10 +12,7 @@
 //!   differences for every op;
 //! * [`nn`] — linear layers and MLPs;
 //! * [`optim`] — Adam plus the paper's step-decay learning-rate schedule
-//!   (0.005, ×0.96 every 5 epochs);
-//! * [`simd`] — runtime-dispatched integer kernels (Hamming over packed
-//!   sign codes, `u8` dot product) for the quantized prefilter tier, with
-//!   bit-identical scalar fallbacks.
+//!   (0.005, ×0.96 every 5 epochs).
 //!
 //! # Example: one gradient step
 //!
@@ -39,7 +36,6 @@ pub mod matrix;
 pub mod nn;
 pub mod optim;
 pub mod param;
-pub mod simd;
 pub mod store;
 pub mod tape;
 
@@ -47,5 +43,4 @@ pub use matrix::{dot, Matrix};
 pub use nn::{FusedHeads, Linear, Mlp, MlpScratch};
 pub use optim::{Adam, StepDecay};
 pub use param::ParamStore;
-pub use simd::{dot_u8, hamming, kernel_path, KernelPath};
 pub use tape::{sigmoid, Tape, Var};

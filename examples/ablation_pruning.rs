@@ -16,7 +16,7 @@ use lan_core::{harness, InitStrategy, LanConfig, LanIndex, RouteStrategy};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_pg::np_route::{np_route, OracleRanker};
-use lan_pg::{DistCache, PgConfig};
+use lan_pg::{BudgetCtx, DistCache, PgConfig};
 
 fn main() {
     let dataset = Dataset::generate(DatasetSpec::aids().with_graphs(200).with_queries(30));
@@ -30,7 +30,7 @@ fn main() {
             ..ModelConfig::default()
         },
         ds: 1.0,
-        quant: lan_core::QuantConfig::from_env(),
+        quant: lan_core::QuantConfig::default(),
     };
     println!("building index...");
     let index = LanIndex::build(dataset, cfg);
@@ -85,9 +85,18 @@ fn main() {
         let q = index.dataset.queries[qi].clone();
         let qd = |id: u32| index.dataset.distance(&q, id);
         let cache = DistCache::new(&qd);
-        let entry = index.pg.hnsw_entry(&cache);
+        let entry = index.pg.hnsw_entry(&cache, &BudgetCtx::unlimited());
         let oracle = OracleRanker::new(&qd, index.cfg.model.batch_pct);
-        let r = np_route(index.pg.base(), &cache, &oracle, &[entry], b, k, 1.0);
+        let r = np_route(
+            index.pg.base(),
+            &cache,
+            &oracle,
+            &[entry],
+            b,
+            k,
+            1.0,
+            &BudgetCtx::unlimited(),
+        );
         recall_sum += lan_datasets::recall_at_k_ties(&r.results, truths[i], k);
         ndc_sum += r.ndc;
     }

@@ -36,7 +36,7 @@ fn main() {
             ..ModelConfig::default()
         },
         ds: 1.0,
-        quant: lan_core::QuantConfig::from_env(),
+        quant: lan_core::QuantConfig::default(),
     };
     println!("indexing the corpus...");
     let index = LanIndex::build(dataset, cfg);

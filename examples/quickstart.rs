@@ -34,7 +34,7 @@ fn main() {
             ..ModelConfig::default()
         },
         ds: 1.0,
-        quant: lan_core::QuantConfig::from_env(),
+        quant: lan_core::QuantConfig::default(),
     };
     println!("building index (PG construction + model training)...");
     let t0 = std::time::Instant::now();

@@ -8,7 +8,7 @@ use lan_suite::gnn::gin::GnnConfig;
 use lan_suite::gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput};
 use lan_suite::graph::{Graph, GraphBuilder};
 use lan_suite::pg::np_route::{np_route, OracleRanker};
-use lan_suite::pg::{beam_search, DistCache};
+use lan_suite::pg::{beam_search, BudgetCtx, DistCache};
 use lan_suite::tensor::{ParamStore, Tape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -151,10 +151,10 @@ proptest! {
 
         let f = |id: u32| dists[id as usize];
         let c1 = DistCache::new(&f);
-        let bs = beam_search(&adj, &c1, &[entry], b, k);
+        let bs = beam_search(&adj, &c1, &[entry], b, k, &BudgetCtx::unlimited());
         let c2 = DistCache::new(&f);
         let oracle = OracleRanker::new(&f, 20);
-        let np = np_route(&adj, &c2, &oracle, &[entry], b, k, 1.0);
+        let np = np_route(&adj, &c2, &oracle, &[entry], b, k, 1.0, &BudgetCtx::unlimited());
         prop_assert_eq!(bs.results, np.results);
         prop_assert!(np.ndc <= bs.ndc);
     }
